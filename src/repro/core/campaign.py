@@ -38,7 +38,6 @@ import time
 
 from repro import hotpath, provenance
 from repro.core.characterization import PerformanceMap
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import QUARANTINED, RetryPolicy, as_policy
@@ -280,9 +279,9 @@ class CampaignState:
 class ObservationCampaign:
     """End-to-end campaign bound to one TBL spec and one cluster.
 
-    Everything after *tbl_text* is keyword-only (the legacy positional
-    form is deprecated); a *tracer* makes every trial of the campaign
-    record its lifecycle span tree into the database's ``spans`` table.
+    Everything after *tbl_text* is keyword-only; a *tracer* makes every
+    trial of the campaign record its lifecycle span tree into the
+    database's ``spans`` table.
 
     *faults* arms a :class:`~repro.faults.FaultPlan` on every runner of
     the campaign (the chaos mode); *retry* sets the
@@ -296,22 +295,15 @@ class ObservationCampaign:
     plane-wide totals.
     """
 
-    def __init__(self, tbl_text, *args, mof_text=None, database=None,
+    def __init__(self, tbl_text, *, mof_text=None, database=None,
                  node_count=36, tbl_source="<campaign>", tracer=None,
                  faults=None, retry=None, state=None, tenant=None):
-        merged = absorb_positional(
-            "ObservationCampaign",
-            ("mof_text", "database", "node_count", "tbl_source"), args,
-            {"mof_text": mof_text, "database": database,
-             "node_count": node_count, "tbl_source": tbl_source})
-        database = merged["database"]
         self.tracer = as_tracer(tracer)
         self.tenant = tenant
         if state is None:
-            state = CampaignState(tbl_text,
-                                  mof_text=merged["mof_text"],
-                                  node_count=merged["node_count"],
-                                  tbl_source=merged["tbl_source"],
+            state = CampaignState(tbl_text, mof_text=mof_text,
+                                  node_count=node_count,
+                                  tbl_source=tbl_source,
                                   faults=faults, retry=retry)
         self.state = state
         self.cluster = VirtualCluster(self.spec.platform,
@@ -630,10 +622,7 @@ class ObservationCampaign:
         done = {}
         if resume:
             for result in db.query(experiment_name=experiment.name):
-                done[(experiment.name, result.topology_label,
-                      result.workload, result.write_ratio,
-                      result.seed, result.fidelity,
-                      result.scenario)] = result
+                done[result.trial_key()] = result
         store, flush_tail = self._ingest(report, replace=replace,
                                          on_result=on_result,
                                          on_progress=on_progress,

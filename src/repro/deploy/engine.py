@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.deploy.state import extract_deployed_system
 from repro.deploy.verify import verify_deployment
-from repro.deprecation import absorb_positional
 from repro.errors import DeployError, ReproError, ShellError
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import as_tracer
@@ -36,16 +35,12 @@ class Deployment:
 class DeploymentEngine:
     """Runs Mulini bundles against one virtual cluster.
 
-    Construct with keywords (``cluster=``, ``tracer=``); the legacy
-    positional form still works but is deprecated.  The tracer flows
-    into the shell interpreter, so every generated script this engine
-    executes shows up as a ``script`` span.
+    Construct with keywords (``cluster=``, ``tracer=``).  The tracer
+    flows into the shell interpreter, so every generated script this
+    engine executes shows up as a ``script`` span.
     """
 
-    def __init__(self, *args, cluster=None, tracer=None, faults=None):
-        merged = absorb_positional("DeploymentEngine", ("cluster",),
-                                   args, {"cluster": cluster})
-        cluster = merged["cluster"]
+    def __init__(self, *, cluster=None, tracer=None, faults=None):
         if cluster is None:
             raise DeployError("DeploymentEngine requires cluster=")
         self.cluster = cluster

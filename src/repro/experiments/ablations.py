@@ -15,7 +15,6 @@ Three questions the reproduction's shape depends on:
 from __future__ import annotations
 
 from repro.deploy import DeploymentEngine
-from repro.deprecation import warn_deprecated
 from repro.experiments.sweep import build_experiment
 from repro.generator import HostPlan, Mulini
 from repro.monitoring import attach_monitors, summarize_records
@@ -98,8 +97,7 @@ def raidb_scaling(system_factory, workload, replica_counts=(1, 2, 3),
     return rows
 
 
-def mva_vs_observation(system_factory, workloads, write_ratio=0.15,
-                       db_node_speed=None):
+def mva_vs_observation(system_factory, workloads, write_ratio=0.15):
     """Model tiers against simulated observation across *workloads*.
 
     Both analytical tiers — exact MVA and the Schweitzer AMVA fluid
@@ -110,21 +108,11 @@ def mva_vs_observation(system_factory, workloads, write_ratio=0.15,
     bench shows both where the product-form models track the
     observations (below the knee) and how far the fast tier strays
     from the exact one at each station.
-
-    ``db_node_speed`` is deprecated: scale the db station's demand in
-    the calibration (or pass a pre-scaled station sequence to
-    :func:`repro.sim.solve`) instead of bending it here.
     """
-    if db_node_speed is not None:
-        warn_deprecated("mva_vs_observation", "db_node_speed=",
-                        "scale the calibrated db demand instead")
-    else:
-        db_node_speed = 1.0
     stations = [
         mva.MvaStation("web", RUBIS.web_s),
         mva.MvaStation("app", RUBIS.app_mean(write_ratio)),
-        mva.MvaStation("db",
-                       RUBIS.db_mean(write_ratio) / db_node_speed),
+        mva.MvaStation("db", RUBIS.db_mean(write_ratio)),
     ]
     rows = []
     for users in workloads:

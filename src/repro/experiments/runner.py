@@ -44,7 +44,6 @@ import math
 from dataclasses import replace
 
 from repro.deploy import DeploymentEngine
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError, ReproError, TrialFailed
 from repro.experiments.trial import (
     COMPLETED,
@@ -115,12 +114,12 @@ class ExperimentRunner:
     """Runs experiment points end to end on one virtual cluster.
 
     Construct with keywords: ``cluster=``, ``resource_model=``,
-    ``wait_for_nodes=``, ``tracer=`` (the legacy positional form is
-    deprecated).  *wait_for_nodes* makes trials block for cluster nodes
-    instead of failing when concurrent trials hold them — the
-    shared-cluster mode of parallel scheduling.  *tracer* is threaded
-    through every layer (deployment engine, shell interpreter,
-    simulation, collector) so one trial produces one span tree.
+    ``wait_for_nodes=``, ``tracer=``.  *wait_for_nodes* makes trials
+    block for cluster nodes instead of failing when concurrent trials
+    hold them — the shared-cluster mode of parallel scheduling.
+    *tracer* is threaded through every layer (deployment engine, shell
+    interpreter, simulation, collector) so one trial produces one span
+    tree.
 
     *faults* is a :class:`~repro.faults.FaultPlan` (or a ready
     injector) whose events this runner's layers fire; *retry* is a
@@ -136,23 +135,16 @@ class ExperimentRunner:
     nothing, keeping standalone span trees exactly as before.
     """
 
-    def __init__(self, *args, cluster=None, resource_model=None,
+    def __init__(self, *, cluster=None, resource_model=None,
                  wait_for_nodes=False, tracer=None, faults=None,
                  retry=None, tenant=None):
-        merged = absorb_positional(
-            "ExperimentRunner", ("cluster", "resource_model",
-                                 "wait_for_nodes"),
-            args, {"cluster": cluster, "resource_model": resource_model,
-                   "wait_for_nodes": wait_for_nodes})
-        cluster = merged["cluster"]
-        resource_model = merged["resource_model"]
         if cluster is None or resource_model is None:
             raise ExperimentError(
                 "ExperimentRunner requires cluster= and resource_model="
             )
         self.cluster = cluster
         self.resource_model = resource_model
-        self.wait_for_nodes = merged["wait_for_nodes"]
+        self.wait_for_nodes = wait_for_nodes
         self.tenant = tenant
         self.tracer = as_tracer(tracer)
         self.faults = as_injector(faults, tracer=self.tracer)
@@ -429,7 +421,7 @@ class ExperimentRunner:
         return self.run_point(task.experiment, task.topology,
                               task.workload, task.write_ratio,
                               seed=task.seed,
-                              fidelity=getattr(task, "fidelity", DES))
+                              fidelity=task.fidelity)
 
     # -- the analytic fast path --------------------------------------------
 
@@ -533,7 +525,7 @@ class ExperimentRunner:
             tier_of_host=tier_of_host,
             machine_count=topology.machine_count(),
             fidelity=ANALYTIC,
-            scenario=getattr(experiment, "scenario", ""),
+            scenario=experiment.scenario,
         )
         result.spans = merge_span_exports(exports)
         return result
@@ -686,7 +678,7 @@ class ExperimentRunner:
             config_lines=bundle.config_line_total(),
             generated_files=bundle.file_count(),
             machine_count=allocation.machine_count(),
-            scenario=getattr(experiment, "scenario", ""),
+            scenario=experiment.scenario,
         )
 
     @staticmethod

@@ -31,8 +31,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro import hotpath
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError
+from repro.experiments.trial import TrialKey
 from repro.obs.tracer import as_tracer
 
 THREAD = "thread"
@@ -59,9 +59,9 @@ class TrialTask:
 
     def key(self):
         """The trial's identity — the results database's UNIQUE key."""
-        return (self.experiment.name, self.topology.label(), self.workload,
-                self.write_ratio, self.seed, self.fidelity,
-                getattr(self.experiment, "scenario", ""))
+        return TrialKey(self.experiment.name, self.topology.label(),
+                        self.workload, self.write_ratio, self.seed,
+                        self.fidelity, self.experiment.scenario)
 
 
 def enumerate_tasks(experiment, start_index=0, fidelity="des"):
@@ -151,13 +151,8 @@ class TrialScheduler:
     the workers' runners and travel on the results themselves.
     """
 
-    def __init__(self, runner_factory, *args, jobs=1, backend=None,
+    def __init__(self, runner_factory, *, jobs=1, backend=None,
                  tracer=None):
-        merged = absorb_positional(
-            "TrialScheduler", ("jobs", "backend"), args,
-            {"jobs": jobs, "backend": backend})
-        jobs = merged["jobs"]
-        backend = merged["backend"]
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         if backend is not None and backend not in BACKENDS:

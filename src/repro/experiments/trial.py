@@ -14,9 +14,31 @@ experiments that "could not complete" as observations, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 COMPLETED = "completed"
 DNF = "dnf"          # did not finish: exceeded the error budget (Table 7)
+
+
+class TrialKey(NamedTuple):
+    """A trial's identity, declared once.
+
+    The field names are the ``trials`` column names: the results
+    database derives its UNIQUE key, its replace-by-key filter and
+    :meth:`~repro.results.ResultsDatabase.trial_keys` from
+    ``TrialKey._fields``, and campaigns resume by comparing
+    :meth:`TrialTask.key` against stored keys.  A new identity axis is
+    one field here plus one migration entry in the database's
+    ``_TRIAL_SUFFIX``.
+    """
+
+    experiment_name: str
+    topology: str
+    workload: int
+    write_ratio: float
+    seed: int
+    fidelity: str
+    scenario: str
 
 
 @dataclass(frozen=True)
@@ -124,6 +146,12 @@ class TrialResult:
         return (self.topology_label, self.workload,
                 round(self.write_ratio, 6))
 
+    def trial_key(self):
+        """The trial's full identity (see :class:`TrialKey`)."""
+        return TrialKey(self.experiment_name, self.topology_label,
+                        self.workload, self.write_ratio, self.seed,
+                        self.fidelity, self.scenario)
+
     def heaviest_interactions(self, limit=5):
         """The slowest interaction states by mean response time."""
         ranked = sorted(
@@ -172,5 +200,5 @@ def failed_result(experiment, topology, workload, write_ratio, seed,
         machine_count=machine_count,
         attempts=attempts,
         failures=list(failures),
-        scenario=getattr(experiment, "scenario", ""),
+        scenario=experiment.scenario,
     )

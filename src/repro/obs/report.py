@@ -55,8 +55,7 @@ def render_phase_breakdown(traced, limit=None):
         durations = phase_durations(spans)
         total = next((s.duration_s for s in spans
                       if s.name == TRIAL_SPAN), 0.0)
-        tier = info.get("fidelity") or "des"
-        line = f"{trial_label(info):<{label_width}} {tier:<8}"
+        line = f"{trial_label(info):<{label_width}} {info['fidelity']:<8}"
         for phase in TRIAL_PHASES:
             line += f" {_ms(durations.get(phase, 0.0)):>9.2f}"
         line += f" {_ms(total):>9.2f}"
@@ -184,15 +183,9 @@ def render_planner_decisions(database, limit=40):
     """The planner plane's decision log, round by round.
 
     Returns ``None`` when the database holds no planner decisions (the
-    run was a fixed-grid campaign), so the section only appears for
-    adaptive explorations.  A database written before the planner plane
-    existed has no ``planner_decisions`` table at all; that renders as
-    an explicit note rather than an error, so ``repro trace`` keeps
-    working on old observation files.
+    run was a fixed-grid campaign, or predates the planner plane), so
+    the section only appears for adaptive explorations.
     """
-    if not database.has_table("planner_decisions"):
-        return ("no planner decisions recorded (database predates the "
-                "planner plane)")
     decisions = database.planner_decisions()
     if not decisions:
         return None
@@ -209,9 +202,9 @@ def render_planner_decisions(database, limit=40):
             point = decision["topology"]
         else:
             point = f"{decision['topology']} u={decision['workload']}"
-        tier = decision.get("fidelity") or "des"
         out.append(f"{decision['round']:>5} {decision['action']:<17} "
-                   f"{tier:<8} {point:<22} {decision['reason']}")
+                   f"{decision['fidelity']:<8} {point:<22} "
+                   f"{decision['reason']}")
     if len(decisions) > limit:
         out.append(f"... and {len(decisions) - limit} more decisions")
     return "\n".join(out)
@@ -222,14 +215,8 @@ def render_scenarios(database, limit=20):
     table, with open-loop backlog and DNF counts.
 
     Returns ``None`` when every trial is a plain sweep point (the
-    section only appears for scenario runs).  A trials table written by
-    a pre-scenario tool carries no ``scenario`` column at all; like the
-    planner-decision guard, that renders as an explicit note rather
-    than an error, so ``repro trace`` keeps working on old files.
+    section only appears for scenario runs).
     """
-    if not database.has_column("trials", "scenario"):
-        return ("no scenario identity recorded (database predates the "
-                "scenario plane)")
     by_scenario = {}
     for result in database.query():
         if not result.scenario:
@@ -239,8 +226,7 @@ def render_scenarios(database, limit=20):
         stats["trials"] += 1
         if not result.completed:
             stats["dnf"] += 1
-        stats["backlog"] = max(stats["backlog"],
-                               getattr(result.metrics, "backlog", 0))
+        stats["backlog"] = max(stats["backlog"], result.metrics.backlog)
     if not by_scenario:
         return None
     name_width = max([len(name) for name in by_scenario]

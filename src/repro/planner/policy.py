@@ -307,8 +307,7 @@ class TieredFidelityPolicy(Policy):
                                        workloads[index],
                                        state["write_ratio"])
                 result = frontier.result_at(point)
-                if result is None or \
-                        getattr(result, "fidelity", DES) != DES:
+                if result is None or result.fidelity != DES:
                     if not frontier.is_pending(point):
                         proposals.append(Decision.measure(
                             point,

@@ -206,11 +206,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
             on_progress(text)
         tracer.count("remedy.progress_lines", 1)
 
-    done = {}
-    for stored in database.query():
-        done[(stored.experiment_name, stored.topology_label,
-              stored.workload, stored.write_ratio, stored.seed,
-              stored.fidelity, stored.scenario)] = stored
+    done = {stored.trial_key(): stored for stored in database.query()}
 
     def execute(tasks, plan, retry):
         """Run *tasks* under a candidate configuration, reusing stored
@@ -232,9 +228,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
 
         def store(result):
             database.insert(result, replace=True)
-            done[(result.experiment_name, result.topology_label,
-                  result.workload, result.write_ratio, result.seed,
-                  result.fidelity, result.scenario)] = result
+            done[result.trial_key()] = result
             report.trials += 1
             if on_trial is not None:
                 on_trial(result)

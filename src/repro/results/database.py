@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from contextlib import contextmanager
 
 from repro.errors import ResultsError
-from repro.experiments.trial import AttemptFailure, TrialResult
+from repro.experiments.trial import AttemptFailure, TrialKey, TrialResult
 from repro.faults.retry import GAVE_UP, QUARANTINED
 from repro.monitoring.metrics import TrialMetrics
 from repro.obs.tracer import SpanRecord
@@ -25,8 +26,9 @@ from repro.obs.tracer import SpanRecord
 # scenario plane's ``backlog``/``scenario``) are deliberately the LAST
 # columns, in the order their planes landed, so a migrated older
 # database and a freshly created one share the same column order —
-# dump_rows comparisons stay meaningful across both.
-_TRIALS_TABLE = """
+# dump_rows comparisons stay meaningful across both.  The UNIQUE key is
+# the trial identity, declared once as :class:`TrialKey`.
+_TRIALS_TABLE = f"""
 CREATE TABLE IF NOT EXISTS trials (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     experiment_name TEXT NOT NULL,
@@ -55,8 +57,7 @@ CREATE TABLE IF NOT EXISTS trials (
     fidelity TEXT NOT NULL DEFAULT 'des',
     backlog INTEGER NOT NULL DEFAULT 0,
     scenario TEXT NOT NULL DEFAULT '',
-    UNIQUE (experiment_name, topology, workload, write_ratio, seed,
-            fidelity, scenario)
+    UNIQUE ({', '.join(TrialKey._fields)})
 )
 """
 
@@ -174,6 +175,80 @@ CREATE INDEX IF NOT EXISTS idx_failures_trial ON failures (trial_id);
 """
 
 
+#: Every table's columns, in DDL order.  This is the one statement of
+#: the schema the SQL below is built from; the tests hold it against
+#: ``PRAGMA table_info`` of fresh and migrated files alike.
+_TRIAL_COLUMNS = (
+    "experiment_name", "benchmark", "platform", "topology", "workload",
+    "write_ratio", "seed", "status", "completed_requests", "errors",
+    "timeouts", "rejections", "duration_s", "throughput",
+    "mean_response_s", "p50_response_s", "p90_response_s",
+    "p99_response_s", "collected_bytes", "script_lines", "config_lines",
+    "generated_files", "machine_count", "fidelity", "backlog",
+    "scenario",
+)
+
+#: Child tables hanging off ``trials.id`` (after their ``trial_id``).
+_CHILD_COLUMNS = {
+    "host_cpu": ("host", "tier", "cpu_percent"),
+    "state_metrics": ("state", "count", "errors", "mean_response_s"),
+    "spans": ("span_id", "parent_id", "name", "start_s", "duration_s",
+              "status", "attributes"),
+    "failures": ("attempt", "phase", "cause", "error_type", "transient",
+                 "resolution", "fault_kind", "host", "backoff_s"),
+}
+
+#: The (round, seq)-keyed logs: the planner's decisions and the remedy
+#: plane's remediation events.
+_LOG_COLUMNS = {
+    "planner_decisions": ("round", "seq", "policy", "experiment_name",
+                          "action", "topology", "workload",
+                          "write_ratio", "reason", "fidelity"),
+    "remediations": ("round", "seq", "stage", "kind", "target",
+                     "experiment_name", "detail", "score", "accepted"),
+}
+
+_TABLE_COLUMNS = {
+    "trials": ("id",) + _TRIAL_COLUMNS,
+    **{table: ("trial_id",) + columns
+       for table, columns in _CHILD_COLUMNS.items()},
+    "campaign_meta": ("key", "value"),
+    **_LOG_COLUMNS,
+    "run_cards": ("id", "created", "card"),
+}
+
+
+def _insert_sql(table, columns, verb="INSERT"):
+    return (f"{verb} INTO {table} ({', '.join(columns)}) "
+            f"VALUES ({','.join('?' * len(columns))})")
+
+
+def _select_sql(table, columns, tail=""):
+    return f"SELECT {', '.join(columns)} FROM {table} {tail}".rstrip()
+
+
+_INSERT_TRIAL = _insert_sql("trials", _TRIAL_COLUMNS)
+_SELECT_TRIALS = _select_sql("trials", _TABLE_COLUMNS["trials"])
+_SELECT_KEYS = _select_sql("trials", TrialKey._fields, "ORDER BY id")
+_FIND_TRIAL = _select_sql(
+    "trials", ("id",),
+    "WHERE " + " AND ".join(f"{name} = ?" for name in TrialKey._fields))
+_INSERT_CHILD = {table: _insert_sql(table, ("trial_id",) + columns)
+                 for table, columns in _CHILD_COLUMNS.items()}
+_SELECT_CHILD = {table: _select_sql(table, columns,
+                                    "WHERE trial_id = ? ORDER BY rowid")
+                 for table, columns in _CHILD_COLUMNS.items()}
+_INSERT_LOG = {table: _insert_sql(table, columns, "INSERT OR REPLACE")
+               for table, columns in _LOG_COLUMNS.items()}
+_SELECT_LOG = {table: _select_sql(table, columns, "ORDER BY round, seq")
+               for table, columns in _LOG_COLUMNS.items()}
+_SELECT_SPANS = _select_sql("spans", _CHILD_COLUMNS["spans"],
+                            "WHERE trial_id = ? ORDER BY span_id")
+_SET_META = _insert_sql("campaign_meta", _TABLE_COLUMNS["campaign_meta"],
+                        "INSERT OR REPLACE")
+_INSERT_RUN_CARD = _insert_sql("run_cards", _TABLE_COLUMNS["run_cards"][1:])
+
+
 class ResultsDatabase:
     """Observation store with insert/query/replace semantics.
 
@@ -182,6 +257,11 @@ class ResultsDatabase:
     so inserts serialize while keeping the UNIQUE-key replace
     semantics; file-backed databases run in WAL mode so a reader (a
     live report) never blocks the campaign's writer.
+
+    Every handle carries the current schema: opening a file creates
+    any missing table and :meth:`_migrate` appends any missing
+    ``trials`` column, so readers never guard for an older file's
+    shape.
     """
 
     def __init__(self, path=":memory:"):
@@ -265,10 +345,29 @@ class ResultsDatabase:
     def __exit__(self, *_exc):
         self.close()
 
-    # -- writes -----------------------------------------------------------
+    @contextmanager
+    def _transaction(self):
+        """Hold the writer lock over a block of statements and commit
+        them together; any error rolls the whole block back."""
+        with self._lock:
+            try:
+                yield
+            except Exception:
+                self._db.rollback()
+                raise
+            self._db.commit()
 
-    #: Child tables hanging off ``trials.id``.
-    _CHILD_TABLES = ("host_cpu", "state_metrics", "spans", "failures")
+    def _count(self, table):
+        with self._lock:
+            return self._db.execute(
+                f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+
+    def _clear(self, table):
+        with self._lock:
+            self._db.execute(f"DELETE FROM {table}")
+            self._db.commit()
+
+    # -- writes -----------------------------------------------------------
 
     def insert(self, result, replace=False):
         """Store a :class:`TrialResult`; returns its row id.
@@ -278,14 +377,8 @@ class ResultsDatabase:
         lock, so concurrent workers never interleave half-inserted
         trials.
         """
-        with self._lock:
-            try:
-                trial_id = self._insert_locked(result, replace)
-            except Exception:
-                self._db.rollback()
-                raise
-            self._db.commit()
-        return trial_id
+        with self._transaction():
+            return self._insert_locked(result, replace)
 
     def _insert_locked(self, result, replace):
         """Write one trial and its children; caller commits."""
@@ -298,53 +391,32 @@ class ResultsDatabase:
             # is SQLite's per-connection default; our own connections
             # enable it, but the database file must stay consistent
             # for any reader).
-            row = self._db.execute(
-                "SELECT id FROM trials WHERE experiment_name = ? AND "
-                "topology = ? AND workload = ? AND write_ratio = ? AND "
-                "seed = ? AND fidelity = ? AND scenario = ?",
-                (result.experiment_name, result.topology_label,
-                 result.workload, result.write_ratio, result.seed,
-                 getattr(result, "fidelity", "des"),
-                 getattr(result, "scenario", "")),
-            ).fetchone()
+            row = self._db.execute(_FIND_TRIAL,
+                                   result.trial_key()).fetchone()
             if row is not None:
                 old_id = row[0]
-                for table in self._CHILD_TABLES:
+                for table in _CHILD_COLUMNS:
                     self._db.execute(
                         f"DELETE FROM {table} WHERE trial_id = ?",
                         (old_id,))
                 self._db.execute("DELETE FROM trials WHERE id = ?",
                                  (old_id,))
         try:
-            cursor = self._db.execute(
-                """INSERT INTO trials (
-                    experiment_name, benchmark, platform, topology,
-                    workload, write_ratio, seed, status,
-                    completed_requests, errors, timeouts, rejections,
-                    duration_s, throughput, mean_response_s,
-                    p50_response_s, p90_response_s, p99_response_s,
-                    collected_bytes, script_lines, config_lines,
-                    generated_files, machine_count, fidelity, backlog,
-                    scenario
-                ) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,
-                          ?,?,?,?)""",
-                (
-                    result.experiment_name, result.benchmark,
-                    result.platform, result.topology_label,
-                    result.workload, result.write_ratio, result.seed,
-                    result.status, metrics.completed, metrics.errors,
-                    metrics.timeouts, metrics.rejections,
-                    metrics.duration_s, metrics.throughput,
-                    metrics.mean_response_s, metrics.p50_response_s,
-                    metrics.p90_response_s, metrics.p99_response_s,
-                    result.collected_bytes, result.script_lines,
-                    result.config_lines, result.generated_files,
-                    result.machine_count,
-                    getattr(result, "fidelity", "des"),
-                    getattr(metrics, "backlog", 0),
-                    getattr(result, "scenario", ""),
-                ),
-            )
+            # Values in _TRIAL_COLUMNS order.
+            cursor = self._db.execute(_INSERT_TRIAL, (
+                result.experiment_name, result.benchmark,
+                result.platform, result.topology_label,
+                result.workload, result.write_ratio, result.seed,
+                result.status, metrics.completed, metrics.errors,
+                metrics.timeouts, metrics.rejections,
+                metrics.duration_s, metrics.throughput,
+                metrics.mean_response_s, metrics.p50_response_s,
+                metrics.p90_response_s, metrics.p99_response_s,
+                result.collected_bytes, result.script_lines,
+                result.config_lines, result.generated_files,
+                result.machine_count, result.fidelity, metrics.backlog,
+                result.scenario,
+            ))
         except sqlite3.IntegrityError as error:
             raise ResultsError(
                 f"duplicate trial {result.experiment_name}/"
@@ -352,47 +424,38 @@ class ResultsDatabase:
             ) from error
         trial_id = cursor.lastrowid
         self._db.executemany(
-            "INSERT INTO host_cpu (trial_id, host, tier, cpu_percent) "
-            "VALUES (?,?,?,?)",
+            _INSERT_CHILD["host_cpu"],
             [
                 (trial_id, host, result.tier_of_host.get(host), cpu)
                 for host, cpu in sorted(result.host_cpu.items())
             ],
         )
         self._db.executemany(
-            "INSERT INTO state_metrics "
-            "(trial_id, state, count, errors, mean_response_s) "
-            "VALUES (?,?,?,?,?)",
+            _INSERT_CHILD["state_metrics"],
             [
                 (trial_id, state, stats["count"], stats["errors"],
                  stats["mean_response_s"])
                 for state, stats in sorted(result.per_state.items())
             ],
         )
-        spans = getattr(result, "spans", None)
-        if spans:
+        if result.spans:
             self._db.executemany(
-                "INSERT INTO spans (trial_id, span_id, parent_id, name, "
-                "start_s, duration_s, status, attributes) "
-                "VALUES (?,?,?,?,?,?,?,?)",
+                _INSERT_CHILD["spans"],
                 [
                     (trial_id, span.span_id, span.parent_id, span.name,
                      span.start_s, span.duration_s, span.status,
                      span.attributes_json())
-                    for span in spans
+                    for span in result.spans
                 ],
             )
-        failures = getattr(result, "failures", None)
-        if failures:
+        if result.failures:
             self._db.executemany(
-                "INSERT INTO failures (trial_id, attempt, phase, cause, "
-                "error_type, transient, resolution, fault_kind, host, "
-                "backoff_s) VALUES (?,?,?,?,?,?,?,?,?,?)",
+                _INSERT_CHILD["failures"],
                 [
                     (trial_id, f.attempt, f.phase, f.cause, f.error_type,
                      int(f.transient), f.resolution, f.fault_kind,
                      f.host, f.backoff_s)
-                    for f in failures
+                    for f in result.failures
                 ],
             )
         return trial_id
@@ -407,16 +470,9 @@ class ResultsDatabase:
         error the entire batch rolls back, so the database never holds
         a partial batch.
         """
-        ids = []
-        with self._lock:
-            try:
-                for result in results:
-                    ids.append(self._insert_locked(result, replace))
-            except Exception:
-                self._db.rollback()
-                raise
-            self._db.commit()
-        return ids
+        with self._transaction():
+            return [self._insert_locked(result, replace)
+                    for result in results]
 
     def integrity_check(self):
         """Scan for child rows orphaned from ``trials`` — the damage
@@ -427,7 +483,7 @@ class ResultsDatabase:
         """
         problems = []
         with self._lock:
-            for table in self._CHILD_TABLES:
+            for table in _CHILD_COLUMNS:
                 count = self._db.execute(
                     f"SELECT COUNT(*) FROM {table} c WHERE NOT EXISTS "
                     f"(SELECT 1 FROM trials t WHERE t.id = c.trial_id)"
@@ -465,21 +521,18 @@ class ResultsDatabase:
             clauses.append("ABS(write_ratio - ?) < 1e-9")
             params.append(write_ratio)
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+        columns = _TABLE_COLUMNS["trials"]
         with self._lock:
             rows = self._db.execute(
-                f"SELECT * FROM trials {where} "
+                f"{_SELECT_TRIALS} {where} "
                 f"ORDER BY topology, write_ratio, workload",
                 params,
             ).fetchall()
-            columns = [d[0] for d in self._db.execute(
-                "SELECT * FROM trials LIMIT 0").description]
             return [self._to_result(dict(zip(columns, row)))
                     for row in rows]
 
     def count(self):
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM trials").fetchone()[0]
+        return self._count("trials")
 
     def experiments(self):
         with self._lock:
@@ -515,181 +568,82 @@ class ResultsDatabase:
         return row[0] or 0
 
     def trial_keys(self):
-        """The identity key of every stored trial — the campaign's
+        """The :class:`TrialKey` of every stored trial — the campaign's
         checkpoint: a resume skips exactly these."""
         with self._lock:
-            rows = self._db.execute(
-                "SELECT experiment_name, topology, workload, write_ratio, "
-                "seed, fidelity, scenario FROM trials ORDER BY id"
-            ).fetchall()
-        return [tuple(row) for row in rows]
+            rows = self._db.execute(_SELECT_KEYS).fetchall()
+        return [TrialKey._make(row) for row in rows]
 
     def dump_rows(self, table):
         """Every row of *table*, ordered by rowid — the raw comparison
         surface the determinism tests diff (tracing must never change
         what lands in the observation tables)."""
-        if table not in ("trials", "host_cpu", "state_metrics", "spans",
-                         "failures", "planner_decisions", "remediations",
-                         "run_cards"):
+        if table not in _TABLE_COLUMNS:
             raise ResultsError(f"unknown table {table!r}")
-        if not self.has_table(table):
-            return []
         with self._lock:
             return self._db.execute(
                 f"SELECT * FROM {table} ORDER BY rowid").fetchall()
 
-    # -- planner decisions (the planner plane's log) ------------------------
+    # -- the (round, seq) logs: planner decisions and remediations ----------
 
-    _DECISION_COLUMNS = ("round", "seq", "policy", "experiment_name",
-                         "action", "topology", "workload", "write_ratio",
-                         "reason", "fidelity")
+    def _write_log(self, table, rows):
+        """Store log tuples (in :data:`_LOG_COLUMNS` order) in one
+        transaction.  ``INSERT OR REPLACE`` keyed on ``(round, seq)``
+        makes re-logging a replayed round idempotent."""
+        rows = list(rows)
+        if rows:
+            with self._transaction():
+                self._db.executemany(_INSERT_LOG[table], rows)
 
-    def has_table(self, name):
-        """Whether *name* exists in this database file.
-
-        Opening a database normally creates every schema table, but a
-        pre-planner-plane file opened read-only (or handed to us by an
-        older tool) may genuinely lack one — readers that want to
-        degrade gracefully check here instead of catching
-        ``OperationalError``.
-        """
+    def _read_log(self, table):
+        """Every row of a log as a dict, in (round, seq) order."""
         with self._lock:
-            row = self._db.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' "
-                "AND name = ?", (name,)).fetchone()
-        return row is not None
-
-    def has_column(self, table, column):
-        """Whether *table* carries *column* in this database file.
-
-        The column-level sibling of :meth:`has_table`: reports reading
-        a file written by an older tool (a pre-scenario ``trials``
-        table, say) check here and degrade with an explicit note
-        instead of catching ``OperationalError``.
-        """
-        with self._lock:
-            return column in self._column_names(table)
+            rows = self._db.execute(_SELECT_LOG[table]).fetchall()
+        return [dict(zip(_LOG_COLUMNS[table], row)) for row in rows]
 
     def insert_decisions(self, rows):
-        """Store planner-decision tuples (in :attr:`_DECISION_COLUMNS`
-        order) in one transaction.  ``INSERT OR REPLACE`` keyed on
-        ``(round, seq)`` makes re-logging a replayed round idempotent."""
-        rows = list(rows)
-        if not rows:
-            return
-        with self._lock:
-            try:
-                self._db.executemany(
-                    "INSERT OR REPLACE INTO planner_decisions "
-                    "(round, seq, policy, experiment_name, action, "
-                    "topology, workload, write_ratio, reason, fidelity) "
-                    "VALUES (?,?,?,?,?,?,?,?,?,?)", rows)
-            except Exception:
-                self._db.rollback()
-                raise
-            self._db.commit()
+        """Store planner-decision tuples in one transaction."""
+        self._write_log("planner_decisions", rows)
 
     def clear_planner_decisions(self):
         """Drop the decision log — run_adaptive rewrites it wholesale,
         so a resumed exploration's log matches an uninterrupted one."""
-        if not self.has_table("planner_decisions"):
-            return
-        with self._lock:
-            self._db.execute("DELETE FROM planner_decisions")
-            self._db.commit()
+        self._clear("planner_decisions")
 
     def planner_decisions(self):
-        """Every decision as a dict, in (round, seq) order.
-
-        A database that predates the planner plane simply recorded no
-        decisions, so a missing table reads as an empty log rather than
-        an error.
-        """
-        if not self.has_table("planner_decisions"):
-            return []
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT round, seq, policy, experiment_name, action, "
-                "topology, workload, write_ratio, reason, fidelity "
-                "FROM planner_decisions ORDER BY round, seq").fetchall()
-        return [dict(zip(self._DECISION_COLUMNS, row)) for row in rows]
+        """Every decision as a dict, in (round, seq) order."""
+        return self._read_log("planner_decisions")
 
     def decision_count(self):
-        if not self.has_table("planner_decisions"):
-            return 0
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM planner_decisions").fetchone()[0]
-
-    # -- remediations (the remedy plane's log) ------------------------------
-
-    _REMEDIATION_COLUMNS = ("round", "seq", "stage", "kind", "target",
-                            "experiment_name", "detail", "score",
-                            "accepted")
+        return self._count("planner_decisions")
 
     def insert_remediations(self, rows):
-        """Store remediation tuples (in :attr:`_REMEDIATION_COLUMNS`
-        order) in one transaction.  ``INSERT OR REPLACE`` keyed on
-        ``(round, seq)`` makes re-logging a replayed round idempotent —
-        the same property :meth:`insert_decisions` gives the planner."""
-        rows = list(rows)
-        if not rows:
-            return
-        with self._lock:
-            try:
-                self._db.executemany(
-                    "INSERT OR REPLACE INTO remediations "
-                    "(round, seq, stage, kind, target, experiment_name, "
-                    "detail, score, accepted) VALUES (?,?,?,?,?,?,?,?,?)",
-                    rows)
-            except Exception:
-                self._db.rollback()
-                raise
-            self._db.commit()
+        """Store remediation tuples in one transaction."""
+        self._write_log("remediations", rows)
 
     def clear_remediations(self):
         """Drop the remediation log — ``repro heal`` rewrites it
         wholesale, so a resumed heal's log matches an uninterrupted
         one."""
-        if not self.has_table("remediations"):
-            return
-        with self._lock:
-            self._db.execute("DELETE FROM remediations")
-            self._db.commit()
+        self._clear("remediations")
 
     def remediations(self):
-        """Every remediation event as a dict, in (round, seq) order.
-        A pre-remedy-plane database reads as an empty log."""
-        if not self.has_table("remediations"):
-            return []
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT round, seq, stage, kind, target, experiment_name, "
-                "detail, score, accepted FROM remediations "
-                "ORDER BY round, seq").fetchall()
-        return [dict(zip(self._REMEDIATION_COLUMNS, row)) for row in rows]
+        """Every remediation event as a dict, in (round, seq) order."""
+        return self._read_log("remediations")
 
     def remediation_count(self):
-        if not self.has_table("remediations"):
-            return 0
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM remediations").fetchone()[0]
+        return self._count("remediations")
 
     # -- failures (the fault plane's record) -------------------------------
 
     def failure_count(self):
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM failures").fetchone()[0]
+        return self._count("failures")
 
     def failures_for(self, trial_id):
         """Every :class:`AttemptFailure` of one trial, in attempt order."""
         with self._lock:
-            rows = self._db.execute(
-                "SELECT attempt, phase, cause, error_type, transient, "
-                "resolution, fault_kind, host, backoff_s FROM failures "
-                "WHERE trial_id = ? ORDER BY rowid", (trial_id,)).fetchall()
+            rows = self._db.execute(_SELECT_CHILD["failures"],
+                                    (trial_id,)).fetchall()
         return [
             AttemptFailure(attempt=attempt, phase=phase, cause=cause,
                            error_type=error_type, transient=bool(transient),
@@ -720,37 +674,27 @@ class ResultsDatabase:
 
         created = card.get("created", "")
         with self._lock:
-            cursor = self._db.execute(
-                "INSERT INTO run_cards (created, card) VALUES (?, ?)",
-                (created, canonical_json(card)))
+            cursor = self._db.execute(_INSERT_RUN_CARD,
+                                      (created, canonical_json(card)))
             self._db.commit()
             return cursor.lastrowid
 
     def run_cards(self):
-        """Every stored run card as a dict, oldest first.  A database
-        that predates the provenance plane reads as an empty list."""
-        if not self.has_table("run_cards"):
-            return []
+        """Every stored run card as a dict, oldest first."""
         with self._lock:
             rows = self._db.execute(
                 "SELECT card FROM run_cards ORDER BY id").fetchall()
         return [json.loads(card) for (card,) in rows]
 
     def run_card_count(self):
-        if not self.has_table("run_cards"):
-            return 0
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM run_cards").fetchone()[0]
+        return self._count("run_cards")
 
     # -- campaign meta (checkpoint/resume) ---------------------------------
 
     def set_meta(self, key, value):
         """Store a campaign-identity string under *key*."""
         with self._lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO campaign_meta (key, value) "
-                "VALUES (?, ?)", (key, str(value)))
+            self._db.execute(_SET_META, (key, str(value)))
             self._db.commit()
 
     def get_meta(self, key, default=None):
@@ -770,17 +714,12 @@ class ResultsDatabase:
     # -- spans (the trace plane) -------------------------------------------
 
     def span_count(self):
-        with self._lock:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM spans").fetchone()[0]
+        return self._count("spans")
 
     def spans_for(self, trial_id):
         """All spans of one trial, in span-id (DFS preorder) order."""
         with self._lock:
-            rows = self._db.execute(
-                "SELECT span_id, parent_id, name, start_s, duration_s, "
-                "status, attributes FROM spans WHERE trial_id = ? "
-                "ORDER BY span_id", (trial_id,)).fetchall()
+            rows = self._db.execute(_SELECT_SPANS, (trial_id,)).fetchall()
         return [
             SpanRecord(span_id=sid, parent_id=pid, name=name,
                        start_s=start, duration_s=duration, status=status,
@@ -792,9 +731,10 @@ class ResultsDatabase:
         """Every traced trial with its spans, in trial-row order.
 
         Returns ``[(trial_info_dict, [SpanRecord, ...]), ...]`` where
-        the info dict carries the trial's identity columns — the join
-        the ``repro trace`` report renders.
+        the info dict carries the trial's identity columns and status —
+        the join the ``repro trace`` report renders.
         """
+        columns = TrialKey._fields + ("status",)
         clause = ""
         params = ()
         if experiment_name is not None:
@@ -802,45 +742,16 @@ class ResultsDatabase:
             params = (experiment_name,)
         with self._lock:
             rows = self._db.execute(
-                f"""SELECT t.id, t.experiment_name, t.topology,
-                           t.workload, t.write_ratio, t.seed, t.status,
-                           t.fidelity, t.scenario
+                f"""SELECT t.id, {', '.join(f't.{c}' for c in columns)}
                     FROM trials t
                     WHERE EXISTS (SELECT 1 FROM spans s
                                   WHERE s.trial_id = t.id) {clause}
                     ORDER BY t.id""", params).fetchall()
-        traced = []
-        for (trial_id, experiment, topology, workload, write_ratio, seed,
-                status, fidelity, scenario) in rows:
-            info = {
-                "trial_id": trial_id, "experiment_name": experiment,
-                "topology": topology, "workload": workload,
-                "write_ratio": write_ratio, "seed": seed, "status": status,
-                "fidelity": fidelity, "scenario": scenario,
-            }
-            traced.append((info, self.spans_for(trial_id)))
-        return traced
+        return [({"trial_id": row[0], **dict(zip(columns, row[1:]))},
+                 self.spans_for(row[0]))
+                for row in rows]
 
     # -- shards (the campaign service plane) --------------------------------
-
-    _TRIAL_COLUMNS = (
-        "experiment_name", "benchmark", "platform", "topology", "workload",
-        "write_ratio", "seed", "status", "completed_requests", "errors",
-        "timeouts", "rejections", "duration_s", "throughput",
-        "mean_response_s", "p50_response_s", "p90_response_s",
-        "p99_response_s", "collected_bytes", "script_lines", "config_lines",
-        "generated_files", "machine_count", "fidelity", "backlog",
-        "scenario",
-    )
-
-    _CHILD_COLUMNS = {
-        "host_cpu": ("host", "tier", "cpu_percent"),
-        "state_metrics": ("state", "count", "errors", "mean_response_s"),
-        "spans": ("span_id", "parent_id", "name", "start_s", "duration_s",
-                  "status", "attributes"),
-        "failures": ("attempt", "phase", "cause", "error_type", "transient",
-                     "resolution", "fault_kind", "host", "backoff_s"),
-    }
 
     def absorb_shard(self, shard, *, meta_prefix=None, round_base=0):
         """Copy every row of *shard* into this database, in shard order.
@@ -849,91 +760,43 @@ class ResultsDatabase:
         in their shard id order (so a single shard absorbed into an
         empty database reproduces its ids exactly), child rows follow
         their trial in the same grouping the campaign ingest wrote
-        them, planner decisions land with their rounds offset by
-        *round_base*, and campaign meta is copied under *meta_prefix*
-        (``None`` copies keys verbatim).  The whole absorption is one
-        transaction.  Returns the number of trials absorbed.
+        them, planner decisions and remediations land with their rounds
+        offset by *round_base*, and campaign meta is copied under
+        *meta_prefix* (``None`` copies keys verbatim).  The whole
+        absorption is one transaction.  Returns the number of trials
+        absorbed.
         """
         src = shard._db
-        absorbed = 0
-        with self._lock, shard._lock:
-            try:
-                for key, value in src.execute(
-                        "SELECT key, value FROM campaign_meta "
-                        "ORDER BY key").fetchall():
-                    name = key if meta_prefix is None \
-                        else f"{meta_prefix}{key}"
-                    self._db.execute(
-                        "INSERT OR REPLACE INTO campaign_meta (key, value) "
-                        "VALUES (?, ?)", (name, value))
-                trial_cols = ", ".join(self._TRIAL_COLUMNS)
-                placeholders = ",".join("?" * len(self._TRIAL_COLUMNS))
-                for row in src.execute(
-                        f"SELECT id, {trial_cols} FROM trials "
-                        f"ORDER BY id").fetchall():
-                    old_id, values = row[0], row[1:]
-                    cursor = self._db.execute(
-                        f"INSERT INTO trials ({trial_cols}) "
-                        f"VALUES ({placeholders})", values)
-                    new_id = cursor.lastrowid
-                    for table in self._CHILD_TABLES:
-                        columns = self._CHILD_COLUMNS[table]
-                        child_cols = ", ".join(columns)
-                        child_marks = ",".join("?" * (len(columns) + 1))
-                        for child in src.execute(
-                                f"SELECT {child_cols} FROM {table} "
-                                f"WHERE trial_id = ? ORDER BY rowid",
-                                (old_id,)).fetchall():
-                            self._db.execute(
-                                f"INSERT INTO {table} (trial_id, "
-                                f"{child_cols}) VALUES ({child_marks})",
-                                (new_id,) + tuple(child))
-                    absorbed += 1
-                if shard.has_table("planner_decisions"):
-                    for row in src.execute(
-                            "SELECT round, seq, policy, experiment_name, "
-                            "action, topology, workload, write_ratio, "
-                            "reason, fidelity FROM planner_decisions "
-                            "ORDER BY round, seq").fetchall():
-                        self._db.execute(
-                            "INSERT OR REPLACE INTO planner_decisions "
-                            "(round, seq, policy, experiment_name, action, "
-                            "topology, workload, write_ratio, reason, "
-                            "fidelity) VALUES (?,?,?,?,?,?,?,?,?,?)",
-                            (row[0] + round_base,) + tuple(row[1:]))
-                if shard.has_table("remediations"):
-                    for row in src.execute(
-                            "SELECT round, seq, stage, kind, target, "
-                            "experiment_name, detail, score, accepted "
-                            "FROM remediations "
-                            "ORDER BY round, seq").fetchall():
-                        self._db.execute(
-                            "INSERT OR REPLACE INTO remediations "
-                            "(round, seq, stage, kind, target, "
-                            "experiment_name, detail, score, accepted) "
-                            "VALUES (?,?,?,?,?,?,?,?,?)",
-                            (row[0] + round_base,) + tuple(row[1:]))
-                if shard.has_table("run_cards"):
-                    # Provenance travels with the rows: the merged
-                    # database records every shard's run card, oldest
-                    # first, so "what produced these trials" survives
-                    # the merge.
-                    for created, card in src.execute(
-                            "SELECT created, card FROM run_cards "
-                            "ORDER BY id").fetchall():
-                        self._db.execute(
-                            "INSERT INTO run_cards (created, card) "
-                            "VALUES (?, ?)", (created, card))
-            except Exception:
-                self._db.rollback()
-                raise
-            self._db.commit()
-        return absorbed
+        with self._transaction(), shard._lock:
+            db = self._db
+            for key, value in src.execute(
+                    "SELECT key, value FROM campaign_meta "
+                    "ORDER BY key").fetchall():
+                name = key if meta_prefix is None else f"{meta_prefix}{key}"
+                db.execute(_SET_META, (name, value))
+            trials = src.execute(f"{_SELECT_TRIALS} ORDER BY id").fetchall()
+            for row in trials:
+                new_id = db.execute(_INSERT_TRIAL, row[1:]).lastrowid
+                for table, select in _SELECT_CHILD.items():
+                    db.executemany(
+                        _INSERT_CHILD[table],
+                        [(new_id,) + child for child in
+                         src.execute(select, (row[0],)).fetchall()])
+            for table, select in _SELECT_LOG.items():
+                db.executemany(
+                    _INSERT_LOG[table],
+                    [(row[0] + round_base,) + row[1:]
+                     for row in src.execute(select).fetchall()])
+            # Provenance travels with the rows: the merged database
+            # records every shard's run card, oldest first, so "what
+            # produced these trials" survives the merge.
+            db.executemany(_INSERT_RUN_CARD, src.execute(
+                "SELECT created, card FROM run_cards ORDER BY id"
+            ).fetchall())
+        return len(trials)
 
     def max_planner_round(self):
         """The highest recorded planner round (0 when none)."""
-        if not self.has_table("planner_decisions"):
-            return 0
         with self._lock:
             row = self._db.execute(
                 "SELECT MAX(round) FROM planner_decisions").fetchone()
@@ -951,15 +814,12 @@ class ResultsDatabase:
             p50_response_s=row["p50_response_s"],
             p90_response_s=row["p90_response_s"],
             p99_response_s=row["p99_response_s"],
-            backlog=row.get("backlog", 0),
+            backlog=row["backlog"],
         )
-        cpu_rows = self._db.execute(
-            "SELECT host, tier, cpu_percent FROM host_cpu "
-            "WHERE trial_id = ?", (row["id"],)).fetchall()
-        state_rows = self._db.execute(
-            "SELECT state, count, errors, mean_response_s "
-            "FROM state_metrics WHERE trial_id = ?",
-            (row["id"],)).fetchall()
+        cpu_rows = self._db.execute(_SELECT_CHILD["host_cpu"],
+                                    (row["id"],)).fetchall()
+        state_rows = self._db.execute(_SELECT_CHILD["state_metrics"],
+                                      (row["id"],)).fetchall()
         per_state = {
             state: {"count": count, "errors": errors,
                     "mean_response_s": mean_response_s}
@@ -993,7 +853,7 @@ class ResultsDatabase:
             attempts=attempts,
             failures=failures,
             fidelity=row["fidelity"],
-            scenario=row.get("scenario", ""),
+            scenario=row["scenario"],
         )
 
 

@@ -67,8 +67,7 @@ def check_expectations(scenario, results):
                 f"violation, observed "
                 f"{'one' if violated else 'none'}")
     if "max_backlog_min" in expects:
-        backlog = max(
-            (getattr(r.metrics, "backlog", 0) for r in results), default=0)
+        backlog = max((r.metrics.backlog for r in results), default=0)
         if backlog < expects["max_backlog_min"]:
             failures.append(
                 f"{scenario.name}: peak backlog {backlog}, expected "

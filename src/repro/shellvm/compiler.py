@@ -75,16 +75,6 @@ def compile_script(script):
                               lambda: compile_fresh(script))
 
 
-#: Pointer-identity fast path in front of the compile memo.  Script
-#: texts reaching the engine are themselves cached objects (bundle
-#: install plans, archive extraction plans, const ssh fragments), so
-#: the *same str object* arrives at every execution; an ``id()`` probe
-#: skips hashing kilobytes of script text per run.  Entries hold the
-#: text, pinning its id for the lifetime of the entry.
-_IDENTITY_LIMIT = 4096
-_IDENTITY = {}      # id(text) -> (text, script_label, program)
-
-
 def compile_text(text, script="<script>"):
     """Compile shell *text* directly, parsing only on a cache miss.
 
@@ -92,17 +82,6 @@ def compile_text(text, script="<script>"):
     two entry points share entries; on a hit the parse step (and its
     own cache probe) is skipped entirely.
     """
-    if hotpath.enabled():
-        entry = _IDENTITY.get(id(text))
-        if entry is not None and entry[0] is text and entry[1] == script:
-            return entry[2]
-        program = _COMPILE_CACHE.get(
-            (script, text),
-            lambda: compile_fresh(parse(text, script=script)))
-        if len(_IDENTITY) >= _IDENTITY_LIMIT:
-            del _IDENTITY[next(iter(_IDENTITY))]
-        _IDENTITY[id(text)] = (text, script, program)
-        return program
     return _COMPILE_CACHE.get((script, text),
                               lambda: compile_fresh(parse(text,
                                                           script=script)))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.deprecation import absorb_positional
 from repro.errors import SimulationError
 from repro.obs.tracer import as_tracer
 from repro.sim.engine import Simulator
@@ -114,13 +113,8 @@ class _TierBalancer:
 class NTierSimulation:
     """The simulation harness for one deployed experiment point."""
 
-    def __init__(self, system, *args, hop_latency=DEFAULT_HOP_LATENCY,
+    def __init__(self, system, *, hop_latency=DEFAULT_HOP_LATENCY,
                  model=None, balancer_policy="rr", tracer=None):
-        merged = absorb_positional(
-            "NTierSimulation", ("hop_latency", "model"), args,
-            {"hop_latency": hop_latency, "model": model})
-        hop_latency = merged["hop_latency"]
-        model = merged["model"]
         self.system = system
         self.driver = system.driver
         self.hop_latency = hop_latency

@@ -96,3 +96,26 @@ def make_system(webs=1, apps=1, dbs=1, driver=None, app_server="jonas",
         db_backends=db_backends,
         monitors=monitors,
     )
+
+
+def assert_declared_schema(database):
+    """The file behind *database* has exactly the declared schema:
+    every table's ``PRAGMA table_info`` matches its declared columns
+    and the ``trials`` UNIQUE key is the declared trial identity."""
+    from repro.experiments.trial import TrialKey
+    from repro.results.database import _TABLE_COLUMNS
+
+    db = database._db
+    tables = {name for (name,) in db.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' "
+        "AND name NOT LIKE 'sqlite_%'")}
+    assert tables == set(_TABLE_COLUMNS)
+    for table, columns in _TABLE_COLUMNS.items():
+        actual = tuple(row[1] for row in
+                       db.execute(f"PRAGMA table_info({table})"))
+        assert actual == columns, table
+    (unique,) = [row[1] for row in db.execute("PRAGMA index_list(trials)")
+                 if row[3] == "u"]
+    key = tuple(row[2] for row in
+                db.execute(f"PRAGMA index_info({unique})"))
+    assert key == TrialKey._fields

@@ -43,6 +43,7 @@ from repro.sim import (
     mva,
 )
 from repro.workloads.calibration import RUBIS
+from tests.conftest import assert_declared_schema
 
 KNEE_TBL = """
 benchmark rubis;
@@ -471,6 +472,7 @@ class TestTraceFidelityColumn:
         # every historical row backfilled as DES.
         migrated = ResultsDatabase(path)
         try:
+            assert_declared_schema(migrated)
             assert {r.fidelity for r in migrated.query()} == {DES}
         finally:
             migrated.close()
@@ -515,20 +517,3 @@ class TestFidelityCli:
                        "--fidelity", "analytic"])
         assert status == 0
         assert "Figure 1." in capsys.readouterr().out
-
-
-class TestDeprecatedKnobs:
-    def test_db_node_speed_warns(self):
-        from repro.experiments.ablations import mva_vs_observation
-
-        with pytest.warns(DeprecationWarning, match="db_node_speed"):
-            rows = mva_vs_observation(lambda users: None, [],
-                                      db_node_speed=2.0)
-        assert rows == []
-
-    def test_default_call_is_warning_free(self, recwarn):
-        from repro.experiments.ablations import mva_vs_observation
-
-        assert mva_vs_observation(lambda users: None, []) == []
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]

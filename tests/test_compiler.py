@@ -13,12 +13,16 @@ compiler (errexit scoping, CommandError diagnostics under redirect) so
 neither engine can reintroduce them.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, ShellError
 from repro.shellvm import ShellInterpreter
+from repro.shellvm.compiler import _COMPILE_CACHE, compile_text
 from repro.shellvm.interpreter import engine_mode
 from repro.spec import get_platform
 from repro.vcluster import VirtualHost, VirtualNetwork
@@ -312,3 +316,32 @@ class TestDiagnosticRedirectRegression:
         assert files[("control", "/tmp/out.txt")] == ""
         assert "command not found" in output
         assert output.endswith("done\n")
+
+
+def test_concurrent_compiles_past_the_cache_bound():
+    """Threads compiling more distinct texts than any bounded table
+    holds never see an eviction race (``KeyError`` or "dictionary
+    changed size during iteration") escape the compile cache."""
+    errors = []
+
+    def compile_many(worker):
+        try:
+            for i in range(2000):
+                compile_text(f"echo {worker} {i}\n")
+        except Exception as error:      # reported by the assert below
+            errors.append(error)
+
+    threads = [threading.Thread(target=compile_many, args=(worker,))
+               for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # interleave the threads densely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        _COMPILE_CACHE.clear()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

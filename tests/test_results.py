@@ -6,6 +6,7 @@ from repro.errors import ResultsError
 from repro.experiments.trial import COMPLETED, DNF, TrialResult
 from repro.monitoring.metrics import TrialMetrics
 from repro.results import ResultsDatabase, analysis, report
+from tests.conftest import assert_declared_schema
 
 
 def make_result(topology="1-1-1", workload=100, write_ratio=0.15,
@@ -31,6 +32,10 @@ def make_result(topology="1-1-1", workload=100, write_ratio=0.15,
 
 
 class TestDatabase:
+    def test_fresh_database_has_the_declared_schema(self):
+        with ResultsDatabase() as db:
+            assert_declared_schema(db)
+
     def test_insert_and_query_roundtrip(self):
         with ResultsDatabase() as db:
             db.insert(make_result(workload=100))

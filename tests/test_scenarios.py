@@ -27,6 +27,7 @@ from repro.workloads.arrivals import (
     ArrivalSpec,
     arrival_trace,
 )
+from tests.conftest import assert_declared_schema
 
 OBSERVATION_TABLES = ("trials", "host_cpu", "state_metrics")
 
@@ -269,8 +270,7 @@ class TestSchemaMigration:
                       for r in database.query()]
         self._downgrade(path)
         with open_results(path) as migrated:
-            assert migrated.has_column("trials", "scenario")
-            assert migrated.has_column("trials", "backlog")
+            assert_declared_schema(migrated)
             rows = migrated.query()
             assert [(r.experiment_name, r.workload, r.fidelity)
                     for r in rows] == before
@@ -280,19 +280,6 @@ class TestSchemaMigration:
             assert all(len(key) == 7
                        for key in migrated.trial_keys())
             assert migrated.integrity_check() == []
-
-    def test_report_notes_a_database_without_the_column(self,
-                                                        monkeypatch):
-        # Opening always migrates the column in, so the guard only
-        # fires for trials tables written by foreign tools; simulate
-        # one rather than hand-crafting a whole schema.
-        from repro.obs.report import render_scenarios
-
-        database = ResultsDatabase()
-        monkeypatch.setattr(database, "has_column",
-                            lambda table, column: False)
-        note = render_scenarios(database)
-        assert "predates the scenario plane" in note
 
     def test_trial_keys_carry_scenario_identity(self, headline):
         keys = headline["dedicated"].report.database.trial_keys()

@@ -79,6 +79,45 @@ class TestTaskEnumeration:
         assert [t.seed for t in tasks] == [7, 8, 9]
 
 
+_IDENTITY_TBL = """
+benchmark rubis; platform emulab;
+experiment "identity" {
+    topology 1-1-1;
+    workload 60, 120;
+    write_ratio 15%;
+    trial { warmup 2s; run 6s; cooldown 1s; }
+    EXTRA
+}
+"""
+
+
+class TestTrialIdentity:
+    """One identity everywhere: the planned tasks, the stored keys and
+    the stored results agree, and a resume finds nothing to run."""
+
+    @pytest.mark.parametrize("extra, fidelity", [
+        ('scenario "identity-probe"; consolidation 2;', "des"),
+        ("", "analytic"),
+        ("repetitions 2;", "des"),
+    ], ids=["scenario", "analytic", "repetitions"])
+    def test_tasks_keys_and_results_share_one_identity(self, extra,
+                                                       fidelity):
+        from repro.api import resume_campaign
+
+        campaign = ObservationCampaign(
+            _IDENTITY_TBL.replace("EXTRA", extra), node_count=10)
+        tasks = campaign.state.enumerate_plan(
+            campaign.state.select_experiments(), fidelity=fidelity)
+        campaign.run(fidelity=fidelity)
+        db = campaign.database
+        planned = {task.key() for task in tasks}
+        assert len(planned) == len(tasks)
+        assert planned == set(db.trial_keys()) \
+            == {result.trial_key() for result in db.query()}
+        resumed = resume_campaign(db)
+        assert (resumed.trials, resumed.skipped) == (0, len(tasks))
+
+
 class TestTrialScheduler:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExperimentError):

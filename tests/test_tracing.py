@@ -33,8 +33,10 @@ from repro.obs import (
 )
 from repro.obs.report import phase_durations
 from repro.results import ResultsDatabase
+from repro.sim import NTierSimulation
 from repro.spec.topology import Topology
 from repro.vcluster import VirtualCluster
+from tests.conftest import make_system
 
 SMALL_TBL = """
 benchmark rubis;
@@ -253,28 +255,16 @@ class TestTraceReport:
             assert "traced" in trace_report(database, experiment="traced")
 
     def test_report_degrades_on_pre_planner_plane_databases(self):
-        """A database written before the planner plane existed has no
-        planner_decisions table; ``repro trace`` must render a note,
-        not crash."""
+        """Opening a database written before the planner plane creates
+        an empty planner_decisions table, so it renders exactly like a
+        fixed-grid run: no decisions section."""
         from repro.obs.report import render_planner_decisions
 
         with ResultsDatabase() as database:
             run_campaign(SMALL_TBL, database=database, node_count=10,
                          tracer=Tracer())
-            # A fixed-grid run records no decisions: section omitted.
             assert render_planner_decisions(database) is None
             assert "Planner decisions" not in trace_report(database)
-            # Simulate the pre-planner-plane file by dropping the table.
-            with database._lock:
-                database._db.execute("DROP TABLE planner_decisions")
-                database._db.commit()
-            assert not database.has_table("planner_decisions")
-            note = render_planner_decisions(database)
-            assert "no planner decisions recorded" in note
-            assert "predates the planner plane" in note
-            rendered = trace_report(database)
-            assert "predates the planner plane" in rendered
-            assert database.dump_rows("planner_decisions") == []
 
 
 class TestApiFacade:
@@ -317,35 +307,54 @@ class TestApiFacade:
         assert "Per-trial phase breakdown" in trace_report(str(path))
 
 
+#: Per constructor: its pre-keyword-only positional call and the
+#: keyword call that replaces it, given a cluster, a resource model and
+#: a synthetic deployed system.
+_KEYWORD_ONLY_FORMS = {
+    "DeploymentEngine": (
+        lambda cluster, model, system: DeploymentEngine(cluster),
+        lambda cluster, model, system: DeploymentEngine(cluster=cluster)),
+    "NTierSimulation": (
+        lambda cluster, model, system: NTierSimulation(system, 0.0005),
+        lambda cluster, model, system: NTierSimulation(
+            system, hop_latency=0.0005)),
+    "ExperimentRunner": (
+        lambda cluster, model, system: ExperimentRunner(cluster, model),
+        lambda cluster, model, system: ExperimentRunner(
+            cluster=cluster, resource_model=model)),
+    "TrialScheduler": (
+        lambda cluster, model, system: TrialScheduler(
+            lambda: None, 2, "thread"),
+        lambda cluster, model, system: TrialScheduler(
+            lambda: None, jobs=2, backend="thread")),
+    "ObservationCampaign": (
+        lambda cluster, model, system: ObservationCampaign(
+            SMALL_TBL, None, None, 10),
+        lambda cluster, model, system: ObservationCampaign(
+            SMALL_TBL, node_count=10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEYWORD_ONLY_FORMS))
+def test_constructor_options_are_keyword_only(name):
+    positional, keyword = _KEYWORD_ONLY_FORMS[name]
+    cluster = VirtualCluster("emulab", node_count=10)
+    model = make_runner("emulab", "rubis", node_count=10).resource_model
+    system = make_system()
+    with pytest.raises(TypeError):
+        positional(cluster, model, system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = keyword(cluster, model, system)
+    assert type(built).__name__ == name
+
+
 class TestDeprecatedPositionalForms:
-    def test_runner_positional_cluster_warns_but_works(self):
-        cluster = VirtualCluster("emulab", node_count=10)
-        tracer_free = make_runner("emulab", "rubis", node_count=10)
-        model = tracer_free.resource_model
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner"):
-            runner = ExperimentRunner(cluster, model)
-        assert runner.cluster is cluster
-        assert runner.resource_model is model
-
-    def test_engine_positional_cluster_warns(self):
-        cluster = VirtualCluster("emulab", node_count=10)
-        with pytest.warns(DeprecationWarning, match="DeploymentEngine"):
-            engine = DeploymentEngine(cluster)
-        assert engine.cluster is cluster
-
-    def test_scheduler_positional_jobs_warns(self):
-        with pytest.warns(DeprecationWarning, match="TrialScheduler"):
-            scheduler = TrialScheduler(lambda: None, 2, "thread")
-        assert scheduler.jobs == 2
-        assert scheduler.backend == "thread"
-
-    def test_campaign_positional_mof_warns(self):
-        with pytest.warns(DeprecationWarning, match="ObservationCampaign"):
-            ObservationCampaign(SMALL_TBL, None, None, 6)
+    """The positional forms, once deprecated, are now removed outright."""
 
     def test_keyword_forms_do_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             cluster = VirtualCluster("emulab", node_count=10)
             DeploymentEngine(cluster=cluster)
             TrialScheduler(lambda: None, jobs=2, backend="thread")
