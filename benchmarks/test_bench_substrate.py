@@ -33,6 +33,46 @@ def test_bench_event_loop_throughput(benchmark):
     assert events == 100_000
 
 
+def test_bench_run_until_with_cancellations(benchmark):
+    """The campaign pattern: run_until over a heap full of tombstones.
+
+    100 closed-loop users each arm a timeout per request, cancel it on
+    completion and think before the next request (20k requests), as
+    NTierSimulation does.  Timeouts never fire; their tombstones are
+    dropped without being counted.
+    """
+
+    def run():
+        sim = Simulator()
+        remaining = [20_000]
+
+        def on_timeout():
+            raise AssertionError("a cancelled timeout fired")
+
+        def issue():
+            if remaining[0] == 0:
+                return
+            remaining[0] -= 1
+            timeout = sim.schedule(8.0, on_timeout)
+
+            def complete():
+                timeout.cancel()
+                sim.schedule(0.05, issue)
+
+            sim.schedule(0.01, complete)
+
+        for user in range(100):
+            sim.schedule(user * 0.001, issue)
+        sim.run_until(1e6)
+        assert sim.peek_time() is None
+        return sim.events_processed
+
+    events = benchmark(run)
+    # One issue and one completion per request, plus each user's final
+    # issue that finds the budget spent.
+    assert events == 2 * 20_000 + 100
+
+
 def test_bench_ps_station_throughput(benchmark):
     """Arrival/departure cost with 200 resident PS jobs (20k jobs)."""
 

@@ -4,6 +4,12 @@ A minimal, fast event loop: a binary heap of timestamped callbacks with
 stable FIFO ordering for simultaneous events and O(log n) cancellation
 via tombstones.  Everything in the performance substrate (processor
 sharing stations, client think times, monitor sampling) is built on it.
+
+Each heap entry is an :class:`Event`, a ``[time, seq, fn]`` list.  The
+sequence number is unique, so ``heapq`` orders entries with C list
+comparison by ``(time, seq)`` and never reaches ``fn``.  ``cancel()``
+clears ``fn`` to ``None``; the dispatch loops drop such tombstones
+when they reach the head of the heap.
 """
 
 from __future__ import annotations
@@ -14,22 +20,22 @@ import itertools
 from repro.errors import SimulationError
 
 
-class Event:
-    """A scheduled callback; cancel() makes the heap entry a tombstone."""
+class Event(list):
+    """A scheduled callback as a ``[time, seq, fn]`` heap entry;
+    cancel() turns it into a tombstone."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time, seq, fn):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
+    @property
+    def time(self):
+        return self[0]
+
+    @property
+    def cancelled(self):
+        return self[2] is None
 
     def cancel(self):
-        self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
+        self[2] = None
 
 
 class Simulator:
@@ -42,10 +48,13 @@ class Simulator:
         self.events_processed = 0
 
     def schedule(self, delay, fn):
-        """Schedule *fn* to run *delay* seconds from now; returns Event."""
-        if delay < 0:
+        """Schedule *fn* to run *delay* seconds from now; returns Event.
+
+        *delay* must be >= 0 (NaN is rejected); ``inf`` means never.
+        """
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        event = Event(self.now + delay, next(self._seq), fn)
+        event = Event((self.now + delay, next(self._seq), fn))
         heapq.heappush(self._heap, event)
         return event
 
@@ -55,35 +64,50 @@ class Simulator:
 
     def peek_time(self):
         """Time of the next live event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap:
+            time, _seq, fn = heap[0]
+            if fn is not None:
+                return time
+            heapq.heappop(heap)
+        return None
 
     def step(self):
         """Run the next event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _seq, fn = heapq.heappop(heap)
+            if fn is None:
                 continue
-            if event.time < self.now - 1e-12:
+            if time < self.now - 1e-12:
                 raise SimulationError(
-                    f"time went backwards: {event.time} < {self.now}"
-                )
-            self.now = max(self.now, event.time)
+                    f"time went backwards: {time} < {self.now}")
+            if time > self.now:
+                self.now = time
             self.events_processed += 1
-            event.fn()
+            fn()
             return True
         return False
 
     def run_until(self, end_time):
         """Process events with time <= *end_time*; clock ends at end_time."""
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > end_time:
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap:
+            time, _seq, fn = heap[0]
+            if fn is None:
+                heappop(heap)
+                continue
+            if time > end_time:
                 break
-            self.step()
+            heappop(heap)
+            if time < self.now - 1e-12:
+                raise SimulationError(
+                    f"time went backwards: {time} < {self.now}")
+            if time > self.now:
+                self.now = time
+            self.events_processed += 1
+            fn()
         self.now = max(self.now, end_time)
 
     def run_all(self, max_events=10_000_000):

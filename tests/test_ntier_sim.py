@@ -5,9 +5,11 @@ server knees near 250 users, DB knees near 1700/2900, the write-ratio
 inversion, timeout/rejection error paths, and determinism.
 """
 
+import hashlib
+
 import pytest
 
-from repro.sim import OK, TIMEOUT, NTierSimulation
+from repro.sim import OK, REJECTED, TIMEOUT, NTierSimulation
 from tests.conftest import make_driver, make_system
 
 
@@ -202,3 +204,50 @@ class TestDeterminism:
         first = run_point(users=120, run=30.0, seed=7)
         second = run_point(users=120, run=30.0, seed=8)
         assert first["mean_rt"] != second["mean_rt"]
+
+
+def _record_digest(records):
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update(repr((r.state, r.issued_at, r.finished_at, r.status,
+                            r.is_write)).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedSaturatedOutput:
+    """Exact event counts and record digests of two saturated trials.
+
+    Any change to event order (heap ordering, tie-breaking, cancellation)
+    shows up here as a different count or digest, long before it would
+    move a knee.
+    """
+
+    @pytest.mark.parametrize(
+        "apps, dbs, point, events, n_records, sha256, statuses",
+        [
+            # RUBBoS 1-1-1 read-only, past the DB knee.
+            (1, 1, dict(benchmark="rubbos", users=2400, write_ratio=0.0,
+                        run=8.0, timeout=8.0),
+             35711, 4210,
+             "b4f636d9e8ef01096c22595e94ead0938e34ae64634d2209c2fedc3fcc8a2fcb",
+             {OK, TIMEOUT}),
+            # RUBiS 1-2-2 at 30 % writes: RAIDb-1 fan-out, timeouts and
+            # rejections.
+            (2, 2, dict(benchmark="rubis", users=1600, write_ratio=0.3,
+                        run=6.0, timeout=4.0),
+             16606, 2343,
+             "b3cb2b511f67916ce00f944fb83918402b5032ea12a4142dad719ebea67ab488",
+             {OK, TIMEOUT, REJECTED}),
+        ],
+        ids=["rubbos-111-read", "rubis-122-write30"],
+    )
+    def test_events_and_records_pinned(self, apps, dbs, point, events,
+                                       n_records, sha256, statuses):
+        driver = make_driver(warmup=2.0, cooldown=2.0, seed=3, **point)
+        harness = NTierSimulation(make_system(apps=apps, dbs=dbs,
+                                              driver=driver))
+        records = harness.run()
+        assert {r.status for r in records} == statuses
+        assert harness.sim.events_processed == events
+        assert len(records) == n_records
+        assert _record_digest(records) == sha256

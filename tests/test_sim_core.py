@@ -1,5 +1,6 @@
 """Tests for the simulation engine, PS stations, RNG and MVA baseline."""
 
+import itertools
 import math
 
 import pytest
@@ -57,6 +58,133 @@ class TestEngine:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.peek_time() is None
+
+    def test_infinite_delay_means_never(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(math.inf, lambda: seen.append("never"))
+        sim.run_until(1e9)
+        assert seen == []
+        assert sim.peek_time() == math.inf
+
+    def test_event_entry_api(self):
+        sim = Simulator()
+        event = sim.schedule(2.0, lambda: None)
+        assert event.time == 2.0
+        assert not event.cancelled
+        event.cancel()
+        assert event.cancelled
+        assert sim.peek_time() is None
+        assert sim.events_processed == 0
+
+
+class _ReferenceEngine:
+    """Executable spec of the engine: the next event is the live one
+    with the least (time, insertion order), found by linear search."""
+
+    class Handle:
+        def __init__(self, time, order, fn):
+            self.time, self.order, self.fn = time, order, fn
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []
+        self.orders = itertools.count()
+
+    def schedule(self, delay, fn):
+        handle = self.Handle(self.now + delay, next(self.orders), fn)
+        self.pending.append(handle)
+        return handle
+
+    def run_all(self):
+        while True:
+            self.pending = [h for h in self.pending if not h.cancelled]
+            if not self.pending:
+                return
+            head = min(self.pending, key=lambda h: (h.time, h.order))
+            self.pending.remove(head)
+            self.now = max(self.now, head.time)
+            head.fn()
+
+
+# Delays repeat on purpose so that simultaneous events are common.
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, math.inf])
+_NODE = st.recursive(
+    st.tuples(_DELAYS, st.just(()), st.lists(st.integers(0, 50),
+                                             max_size=2)),
+    lambda children: st.tuples(_DELAYS, st.lists(children, max_size=3),
+                               st.lists(st.integers(0, 50), max_size=2)),
+    max_leaves=12,
+)
+
+
+def _play(engine, roots, cancelled_roots, end_time=None):
+    """Run one event program on *engine*; returns the dispatch log.
+
+    A node is ``(delay, children, cancels)``: when it fires it logs its
+    id, schedules its children and cancels already-scheduled events by
+    index (a cancel of a fired event is a no-op).
+    """
+    log = []
+    handles = []
+
+    def schedule(node):
+        delay, children, cancels = node
+        ident = len(handles)
+
+        def fire():
+            log.append((ident, engine.now))
+            for child in children:
+                schedule(child)
+            for index in cancels:
+                handles[index % len(handles)].cancel()
+
+        handles.append(engine.schedule(delay, fire))
+
+    for root in roots:
+        schedule(root)
+    for index in cancelled_roots:
+        handles[index % len(handles)].cancel()
+    if end_time is not None:
+        engine.run_until(end_time)
+        # Everything due by end_time ran; nothing later did.
+        assert all(t <= end_time for _i, t in log)
+        assert engine.peek_time() is None or engine.peek_time() > end_time
+    engine.run_all()
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(_NODE, min_size=1, max_size=8),
+       cancelled_roots=st.lists(st.integers(0, 50), max_size=4),
+       end_time=st.sampled_from([0.0, 0.5, 1.0, 1.7, 2.5, 6.0]))
+def test_engine_order_matches_reference(roots, cancelled_roots, end_time):
+    reference = _ReferenceEngine()
+    expected = _play(reference, roots, cancelled_roots)
+
+    whole = Simulator()
+    assert _play(whole, roots, cancelled_roots) == expected
+    # Tombstones are dropped, never dispatched or counted.
+    assert whole.events_processed == len(expected)
+    if expected:
+        assert whole.now == expected[-1][1]
+
+    split = Simulator()
+    assert _play(split, roots, cancelled_roots, end_time) == expected
+    assert split.events_processed == whole.events_processed
+    assert split.now == max(whole.now, end_time)
 
 
 class TestRandomStreams:
