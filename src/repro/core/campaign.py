@@ -692,15 +692,6 @@ class ObservationCampaign:
                               wall_s=time.perf_counter() - started)
         return report
 
-    def _select_experiment(self, name):
-        """The one experiment an adaptive exploration targets."""
-        return self.state.select_experiment(name)
-
-    def _record_meta(self):
-        """Persist the campaign's identity so ``repro resume <db>`` can
-        rebuild it from the database alone."""
-        self.state.record_meta(self.database)
-
     @classmethod
     def from_database(cls, database, *, tracer=None, tenant=None):
         """Rebuild a campaign from a database's persisted meta — the

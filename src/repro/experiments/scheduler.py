@@ -168,10 +168,9 @@ class TrialScheduler:
     def run(self, tasks, on_result=None):
         """Execute *tasks*; returns their TrialResults in task order."""
         tasks = list(tasks)
-        if self.jobs == 1 or len(tasks) <= 1:
-            self.tracer.count("scheduler.tasks_queued", len(tasks))
-            return self._run_inline(tasks, on_result)
         with self.session() as session:
+            if len(tasks) <= 1:
+                session._mode = _INLINE     # no pool for a lone task
             return session.run_batch(tasks, on_result)
 
     def session(self):
@@ -183,23 +182,6 @@ class TrialScheduler:
         a one-batch session.
         """
         return SchedulerSession(self)
-
-    # -- backends ---------------------------------------------------------
-
-    def _run_inline(self, tasks, on_result):
-        runner = self.runner_factory()
-        results = []
-        for task in tasks:
-            self.tracer.count("scheduler.tasks_running", 1)
-            try:
-                result = runner.run_task(task)
-            finally:
-                self.tracer.count("scheduler.tasks_running", -1)
-            results.append(result)
-            self.tracer.count("scheduler.tasks_done", 1)
-            if on_result is not None:
-                on_result(result)
-        return results
 
     def _drain(self, futures, on_result):
         results = []
@@ -218,8 +200,9 @@ class TrialScheduler:
         return results
 
 
-#: Session execution modes.  ``inline`` is the jobs=1 degenerate pool:
-#: one runner, reused batch after batch, on the calling thread.
+#: Session execution modes.  ``inline`` is the jobs=1 (or lone-task)
+#: degenerate pool: one runner, reused batch after batch, on the
+#: calling thread.
 _INLINE = "inline"
 
 
@@ -245,8 +228,8 @@ class SchedulerSession:
         self._mode = _INLINE if scheduler.jobs == 1 else scheduler.backend
         self._pool = None
         self._runner = None          # inline mode's persistent runner
-        self._local = None           # thread mode's per-thread runners
-        self._generations = {}       # tenant -> runner-cache generation
+        self._runners = {}           # (tenant, thread id) -> runner
+        self._runners_lock = threading.Lock()
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------
@@ -266,7 +249,8 @@ class SchedulerSession:
         self._closed = True
         self._teardown_pool()
         self._runner = None
-        self._local = None
+        with self._runners_lock:
+            self._runners.clear()
 
     def _teardown_pool(self):
         pool, self._pool = self._pool, None
@@ -309,7 +293,6 @@ class SchedulerSession:
 
     def _ensure_thread_pool(self):
         if self._pool is None:
-            self._local = threading.local()
             self._pool = ThreadPoolExecutor(
                 max_workers=self.scheduler.jobs)
         return self._pool
@@ -317,25 +300,21 @@ class SchedulerSession:
     def _thread_run(self, task, tenant, runner_factory):
         """Execute one task on the calling pool thread.
 
-        Worker threads cache one runner *per tenant* — a shared fleet
-        session multiplexes many campaigns over the same threads, and
-        each campaign's trials must run on that campaign's cluster.
-        The single-campaign path is just the ``tenant=None`` slot.
-        A runner built before its tenant was retired (see
-        :meth:`forget_tenant`) is discarded and rebuilt.
+        Each worker thread keeps one runner *per tenant* — a shared
+        fleet session multiplexes many campaigns over the same threads,
+        and each campaign's trials must run on that campaign's cluster.
+        The single-campaign path is just the ``tenant=None`` slot.  A
+        runner is only ever used by the thread it was built for.
         """
         scheduler = self.scheduler
-        runners = getattr(self._local, "runners", None)
-        if runners is None:
-            runners = self._local.runners = {}
-        generation = self._generations.get(tenant, 0)
-        cached = runners.get(tenant)
-        runner = cached[1] if cached is not None \
-            and cached[0] == generation else None
+        slot = (tenant, threading.get_ident())
+        with self._runners_lock:
+            runner = self._runners.get(slot)
         if runner is None:
             factory = runner_factory or scheduler.runner_factory
             runner = factory()
-            runners[tenant] = (generation, runner)
+            with self._runners_lock:
+                self._runners[slot] = runner
         scheduler.tracer.count("scheduler.tasks_running", 1)
         try:
             if tenant is None:
@@ -376,17 +355,15 @@ class SchedulerSession:
         return future
 
     def forget_tenant(self, tenant):
-        """Retire *tenant*'s cached worker runners.
+        """Drop *tenant*'s worker runners (and their clusters).
 
-        Runner caches live in each worker thread's local storage, so
-        they cannot be purged from the outside; instead the tenant's
-        generation is bumped and every thread discards its stale runner
-        (and that runner's cluster) at the next lookup.  The fleet
-        calls this when a campaign detaches, so a long-lived daemon
-        doesn't accumulate one cluster per finished campaign per
-        worker.
+        The fleet calls this when a campaign detaches, so a long-lived
+        daemon holds no runner for a finished campaign.
         """
-        self._generations[tenant] = self._generations.get(tenant, 0) + 1
+        with self._runners_lock:
+            for slot in [slot for slot in self._runners
+                         if slot[0] == tenant]:
+                del self._runners[slot]
 
     def _thread_batch(self, tasks, on_result):
         self._ensure_thread_pool()

@@ -77,12 +77,6 @@ class HostPlan:
             for index, host in enumerate(self._tier_hosts.get(tier, []), 1):
                 yield tier, index, host
 
-    def all_hosts(self):
-        names = [self.control, self.client]
-        for _tier, _index, host in self.server_hosts():
-            names.append(host)
-        return names
-
 
 class Bundle:
     """The generated artifact set for one experiment point."""

@@ -5,22 +5,19 @@ points; the generated bundles differ only in the experiment-point id
 (embedded in paths and script headers) and in the two parameter-bearing
 files (``config/driver.properties`` and ``scripts/CLIENT_ignition.sh``,
 which carry workload, write ratio, mix and seed).  The cache exploits
-that structure at two levels:
+that structure: it stores one **chassis** per experiment and
+topology, keyed with the seed normalized out and without the point's
+workload/write-ratio.  A hit reuses every point-invariant file with
+the experiment id substituted and re-renders only the
+:data:`~repro.generator.backends.shell.ShellBackend.POINT_FILES`.
 
-* **L1 (exact point)** — keyed on everything including the seed; a hit
-  (a retried trial, a resumed point) reuses the complete file set.
-* **L2 (chassis)** — keyed with the seed normalized out and without the
-  point's workload/write-ratio; a hit reuses every point-invariant file
-  with the experiment id substituted and re-renders only the
-  :data:`~repro.generator.backends.shell.ShellBackend.POINT_FILES`.
-
-Both levels key on the resource model's :meth:`fingerprint` and the
+The key includes the resource model's :meth:`fingerprint` and the
 host plan's :meth:`fingerprint`, so a model override or a different
-node assignment invalidates naturally.  Hits rebuild a **fresh**
-:class:`~repro.generator.artifacts.Bundle` sharing the immutable
-content strings, so no mutable state crosses trials or workers, and
-the returned bundle is byte-identical to an uncached generation —
-the hot-path identity invariant.
+node assignment invalidates naturally.  Every point is assembled into
+a **fresh** :class:`~repro.generator.artifacts.Bundle` sharing the
+immutable content strings, so no mutable state crosses trials or
+workers, and the returned bundle is byte-identical to an uncached
+generation — the hot-path identity invariant.
 """
 
 from __future__ import annotations
@@ -34,43 +31,32 @@ from repro.generator.artifacts import Bundle
 #: Distinctive enough never to occur in generated artifact text.
 _POINT_TOKEN = "@@repro-point-id@@"
 
-_L1 = hotpath.MemoCache("generator.bundle", capacity=4096)
-_L2 = hotpath.MemoCache("generator.chassis", capacity=1024)
+_CHASSIS = hotpath.MemoCache("generator.chassis", capacity=1024)
 
 
 def cached_generate(backend, experiment, topology, workload, write_ratio,
                     host_plan, point_id):
-    """A bundle for one point, via the cache hierarchy.
+    """A bundle for one point, assembled from the cached chassis.
 
     *backend* is a ready :class:`ShellBackend`; non-shell backends
     bypass this module entirely (their output is plain text, cheap to
     rebuild and not worth a placeholder scheme).
     """
-    model_fp = backend.resource_model.fingerprint()
-    plan_fp = host_plan.fingerprint()
-    l1_key = (model_fp, experiment, topology.label(), workload,
-              write_ratio, plan_fp)
-
-    def build_point():
-        chassis_key = (model_fp, replace(experiment, seed=0),
-                       topology.label(), plan_fp)
-        files, param_paths = _L2.get(
-            chassis_key,
-            lambda: _build_chassis(backend, experiment, topology,
-                                   workload, write_ratio, host_plan,
-                                   point_id))
-        param = backend.point_files(experiment, topology, workload,
-                                    write_ratio, host_plan, point_id)
-        assembled = {}
-        for path, content in files.items():
-            if path in param_paths:
-                assembled[path] = param[path]
-            else:
-                assembled[path] = content.replace(_POINT_TOKEN, point_id)
-        return assembled
-
+    chassis_key = (backend.resource_model.fingerprint(),
+                   replace(experiment, seed=0), topology.label(),
+                   host_plan.fingerprint())
+    files, param_paths = _CHASSIS.get(
+        chassis_key,
+        lambda: _build_chassis(backend, experiment, topology, workload,
+                               write_ratio, host_plan, point_id))
+    param = backend.point_files(experiment, topology, workload,
+                                write_ratio, host_plan, point_id)
     bundle = Bundle(point_id)
-    bundle.files = dict(_L1.get(l1_key, build_point))
+    for path, content in files.items():
+        if path in param_paths:
+            bundle.files[path] = param[path]
+        else:
+            bundle.files[path] = content.replace(_POINT_TOKEN, point_id)
     return bundle
 
 

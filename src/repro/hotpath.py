@@ -3,13 +3,14 @@
 The paper's observation-at-scale claim rests on the apparatus being
 cheap to produce and run; this module is the control point for every
 cache that amortizes apparatus cost across a campaign — the Mulini
-bundle cache, the shellvm parse cache and the package-archive memo all
-register here.  The caches are pure memoization: **they must never be
-observable** in results, traces or fault injection.  A campaign run
-with caches disabled stores a byte-identical database to one run with
-caches on (``benchmarks/test_bench_hotpath.py`` enforces this), which
-is why the switch exists at all — the identity tests need an honest
-cache-free leg to diff against.
+chassis cache, the shellvm parse and compile caches and the tarball
+extraction-plan memo all register here.  The caches are pure
+memoization: **they must never be observable** in results, traces or
+fault injection.  A campaign run with caches disabled stores a
+byte-identical database to one run with caches on
+(``benchmarks/test_bench_hotpath.py`` enforces this), which is why the
+switch exists at all — the identity tests need an honest cache-free
+leg to diff against.
 
 Use :func:`caches_disabled` to run a code block cache-free::
 
@@ -20,20 +21,16 @@ Disabling clears every registered cache, so re-enabling starts cold;
 :func:`stats` exposes per-cache hit/miss counters for the benchmark's
 report (never for control flow).
 
-Since the campaign service plane landed, the caches are also
-*tenant-shared*: a ``repro serve`` daemon multiplexes many concurrent
-campaigns over one cache plane, and each campaign wants its own
-hit/miss attribution plus its own cache switch.  :func:`tenant` scopes
+The caches are also *tenant-shared*: a ``repro serve`` daemon
+multiplexes many concurrent campaigns over one cache plane, and each
+campaign wants its own hit/miss attribution.  :func:`tenant` scopes
 the current thread to one campaign::
 
     with hotpath.tenant("campaign-7"):
         mulini.generate(...)              # hits/misses attributed
 
 ``stats(tenant="campaign-7")`` then reports exactly that campaign's
-lookups, and :func:`caches_disabled` *inside a tenant scope* turns the
-caches off for that tenant alone — a concurrent campaign keeps its
-shared entries and its hits.  Outside any tenant scope the historical
-global behaviour is unchanged.
+lookups.  The switch stays global: there is no per-tenant disable.
 """
 
 from __future__ import annotations
@@ -44,26 +41,20 @@ from contextlib import contextmanager
 _state_lock = threading.Lock()
 _enabled = True
 _caches = {}                # name -> MemoCache
-_disabled_tenants = set()   # tenants running cache-free right now
 _scope = threading.local()  # .tenant — this thread's campaign identity
 
 
 def enabled():
-    """Whether the hot-path caches are active for the calling thread
-    (the global switch, minus a tenant-scoped disable)."""
-    if not _enabled:
-        return False
-    tenant = current_tenant()
-    return tenant is None or tenant not in _disabled_tenants
+    """Whether the hot-path caches are active (the global switch)."""
+    return _enabled
 
 
 def set_enabled(flag):
     """Flip the global cache switch; disabling drops cached entries.
 
     Meant for test/benchmark setup, not for flipping mid-campaign —
-    workers observe the switch at their next cache lookup.  Inside a
-    daemon use the tenant-scoped :func:`caches_disabled` instead: the
-    global switch is shared by every campaign.
+    workers observe the switch at their next cache lookup, and inside a
+    daemon the switch is shared by every campaign.
     """
     global _enabled
     with _state_lock:
@@ -78,10 +69,9 @@ def tenant(name):
     """Scope the calling thread to campaign *name* for attribution.
 
     Every cache lookup inside the scope is counted against *name* (see
-    :func:`stats`), and a :func:`caches_disabled` inside the scope
-    disables the caches for *name* alone.  Scopes nest; the inner
-    tenant wins.  Worker threads don't inherit the scope — the fleet
-    re-enters it around every task it runs on a campaign's behalf.
+    :func:`stats`).  Scopes nest; the inner tenant wins.  Worker
+    threads don't inherit the scope — the fleet re-enters it around
+    every task it runs on a campaign's behalf.
     """
     previous = getattr(_scope, "tenant", None)
     _scope.tenant = name
@@ -96,46 +86,17 @@ def current_tenant():
     return getattr(_scope, "tenant", None)
 
 
-def set_tenant_enabled(name, flag):
-    """Turn the cache plane on/off for one tenant without touching the
-    shared tables or any other tenant's lookups."""
-    with _state_lock:
-        if flag:
-            _disabled_tenants.discard(name)
-        else:
-            _disabled_tenants.add(name)
-
-
 @contextmanager
 def caches_disabled():
-    """Run a block with the hot-path caches off.
-
-    Outside a tenant scope this is the historical global switch: every
-    cache is emptied and every thread builds fresh until the block
-    exits.  Inside a :func:`tenant` scope it disables the caches for
-    *that tenant only* — lookups on the tenant's behalf bypass the
-    shared tables (building fresh, which is always correct: values are
-    pure functions of their keys), while concurrent tenants keep their
-    entries and their hit rates.
-    """
-    scoped = current_tenant()
-    if scoped is None:
-        with _state_lock:
-            previous = _enabled
-        set_enabled(False)
-        try:
-            yield
-        finally:
-            set_enabled(previous)
-        return
+    """Run a block with the hot-path caches off: every cache is emptied
+    and every thread builds fresh until the block exits."""
     with _state_lock:
-        already = scoped in _disabled_tenants
-        _disabled_tenants.add(scoped)
+        previous = _enabled
+    set_enabled(False)
     try:
         yield
     finally:
-        if not already:
-            set_tenant_enabled(scoped, True)
+        set_enabled(previous)
 
 
 def clear():
@@ -157,15 +118,6 @@ def stats(tenant=None):
     with _state_lock:
         return {name: cache.snapshot_stats(tenant=tenant)
                 for name, cache in sorted(_caches.items())}
-
-
-def tenants():
-    """Every tenant any cache has attributed a lookup to, sorted."""
-    with _state_lock:
-        seen = set()
-        for cache in _caches.values():
-            seen.update(cache.tenants())
-        return sorted(seen)
 
 
 class MemoCache:
@@ -202,15 +154,12 @@ class MemoCache:
         same key both build, and the later store wins — safe because
         values are pure functions of their key.
         """
-        # Inlined enabled() + current_tenant(): one threading.local
-        # read instead of two function calls — get() is the hottest
-        # call in a warm campaign (every script compile, archive plan
-        # and bundle lookup lands here).
+        # Inlined current_tenant(): get() is the hottest call in a warm
+        # campaign (every script compile, extraction plan and chassis
+        # lookup lands here).
         if not _enabled:
             return build()
         tenant = getattr(_scope, "tenant", None)
-        if tenant is not None and tenant in _disabled_tenants:
-            return build()
         with self._lock:
             try:
                 value = self._table[key]
@@ -251,7 +200,3 @@ class MemoCache:
                         "misses": self._tenant_misses.get(tenant, 0)}
             return {"entries": len(self._table), "hits": self._hits,
                     "misses": self._misses}
-
-    def tenants(self):
-        with self._lock:
-            return set(self._tenant_hits) | set(self._tenant_misses)

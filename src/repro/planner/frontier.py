@@ -142,16 +142,6 @@ class ObservationFrontier:
                 if not self.is_resolved(point)
                 and not self.is_pending(point)]
 
-    def measured_count(self):
-        return len(self._measured)
-
-    def pruned_count(self):
-        return len(self._pruned)
-
-    def pruned_reasons(self):
-        """``{point key: reason}`` for every pruned point."""
-        return dict(self._pruned)
-
     def describe(self):
         return (f"{len(self.universe)} points: "
                 f"{len(self._measured)} measured, "

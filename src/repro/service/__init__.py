@@ -13,7 +13,7 @@ API and executes every accepted campaign on one shared
   backpressure when the controller's queue is full;
 - **tenant-shared caches**: the hot-path caching plane is shared by
   every campaign, with per-campaign hit/miss attribution
-  (``hotpath.stats(tenant=...)``) and per-campaign cache switches;
+  (``hotpath.stats(tenant=...)``);
 - **sharded results**: each campaign's write-behind ingest lands in
   its own shard database, feeding a :class:`StreamingAggregator`;
   :func:`repro.results.merge_shards` turns shards into final

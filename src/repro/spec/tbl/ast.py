@@ -73,9 +73,6 @@ class ServiceLevelObjective:
         if not 0 <= self.error_ratio <= 1:
             raise TblError("SLO error ratio must be within [0, 1]")
 
-    def satisfied_by(self, mean_response_time):
-        return mean_response_time <= self.response_time
-
 
 @dataclass(frozen=True)
 class MonitorSpec:

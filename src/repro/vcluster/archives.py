@@ -23,19 +23,9 @@ from repro.errors import ClusterError
 MAGIC = "#!repro-tarball"
 MEMBER_MARKER = ">>> "
 
-# Archive text is a pure function of the (frozen, hashable) package, so
-# re-rendering it for every cluster construction — every scheduler
-# worker clones one — is pure waste; the memo shares one immutable
-# string per package across all clusters and workers.
-_ARCHIVE_CACHE = hotpath.MemoCache("vcluster.archive", capacity=256)
-
 
 def build_archive(package):
     """Render the archive text for a :class:`SoftwarePackage`."""
-    return _ARCHIVE_CACHE.get(package, lambda: _build_archive(package))
-
-
-def _build_archive(package):
     members = {
         "VERSION": f"{package.name} {package.version}\n",
         package.daemon: _daemon_stub(package),
@@ -52,21 +42,8 @@ def _build_archive(package):
     return "\n".join(lines) + "\n"
 
 
-_PARSE_CACHE = hotpath.MemoCache("vcluster.unarchive", capacity=256)
-
-
 def parse_archive(text):
-    """Parse archive text back to ``{member_path: content}``.
-
-    Memoized on the archive text: every host of a tier extracts the
-    same package tarball, so a deployment parses each archive once.
-    Callers must treat the returned dict as immutable (the ``tar``
-    builtin only iterates it).
-    """
-    return _PARSE_CACHE.get(text, lambda: _parse_archive(text))
-
-
-def _parse_archive(text):
+    """Parse archive text back to ``{member_path: content}``."""
     lines = text.split("\n")
     if not lines or not lines[0].startswith(MAGIC):
         raise ClusterError("not a repro tarball (bad magic)")

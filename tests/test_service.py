@@ -8,9 +8,11 @@ count, after cancel + resume, and after killing the daemon and
 resuming both campaigns on a fresh one.
 """
 
+import gc
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -223,6 +225,29 @@ class TestWorkerFleet:
             lease = fleet.attach("boom", ExplodingRunner)
             with pytest.raises(ServiceError, match="exploded"):
                 lease.run_tasks([1, 2, 3])
+        finally:
+            fleet.close()
+
+    def test_detach_frees_the_campaigns_worker_runners(self):
+        # Each runner stands for a whole virtual cluster; a daemon that
+        # kept one per finished campaign would grow without bound.
+        alive = weakref.WeakSet()
+
+        def factory(tenant):
+            runner = GatedRunner(tenant=tenant)
+            alive.add(runner)
+            return runner
+
+        fleet = WorkerFleet(jobs=1)
+        try:
+            for number in range(6):
+                name = f"campaign-{number}"
+                lease = fleet.attach(name, lambda n=name: factory(n))
+                assert lease.run_tasks([1, 2]) == \
+                    [("done", name, 1), ("done", name, 2)]
+                lease.close()
+            gc.collect()
+            assert len(alive) <= 1
         finally:
             fleet.close()
 
