@@ -11,6 +11,10 @@ Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``:
   ``fidelity="analytic"``, run at one and at four workers, timed for
   trials/sec and byte-compared across worker counts.
 
+The payload also counts the analytic solves of both legs and the
+most root steps any of them took (``solver``); CI gates that count,
+which no runner's speed can move.
+
 Three assertions gate the result:
 
 * **Wall clock** — the million-user exploration completes in under
@@ -31,6 +35,7 @@ import time
 
 from repro.api import run_adaptive, run_campaign
 from repro.planner.policy import KNEE
+from repro.sim import analytic
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -69,7 +74,16 @@ def _grid_leg(jobs):
     return wall, report.trials, dump
 
 
-def test_bench_analytic():
+def test_bench_analytic(monkeypatch):
+    steps = []
+    solve_model = analytic.solve_model
+
+    def counted(model, users):
+        result = solve_model(model, users)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(analytic, "solve_model", counted)
     start = time.perf_counter()
     explored = run_adaptive(MILLION_TBL, policy="knee", fidelity="auto",
                             node_count=40)
@@ -98,6 +112,10 @@ def test_bench_analytic():
             "wall_s": round(seq_s, 3),
             "trials_per_sec": round(trials / seq_s, 3),
             "parallel_wall_s": round(par_s, 3),
+        },
+        "solver": {
+            "solves": len(steps),
+            "max_iterations": max(steps),
         },
         "byte_identical": byte_identical,
     }

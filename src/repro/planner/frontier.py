@@ -25,10 +25,15 @@ class SweepPoint:
     workload: int
     write_ratio: float
 
+    def __post_init__(self):
+        # Policies look points up by key many times per round.
+        object.__setattr__(self, "_key", (
+            self.topology.label(), self.workload,
+            round(self.write_ratio, 6)))
+
     def key(self):
         """The point's identity, matching :meth:`TrialResult.key`."""
-        return (self.topology.label(), self.workload,
-                round(self.write_ratio, 6))
+        return self._key
 
     def describe(self):
         return (f"{self.topology.label()} u={self.workload} "

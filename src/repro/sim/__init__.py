@@ -6,7 +6,8 @@ the model's type and the requested *fidelity*:
 * ``"des"`` — the discrete-event :class:`NTierSimulation` (per-request
   fidelity; the observation authority).
 * ``"analytic"`` — the Schweitzer AMVA fluid tier
-  (:mod:`repro.sim.analytic`); population-independent cost, built for
+  (:mod:`repro.sim.analytic`), solved exactly as one monotone equation
+  in the throughput; population-independent cost, built for
   million-user characterizations.
 * ``"auto"`` — whatever the model supports (analytic for models,
   DES for harnesses).

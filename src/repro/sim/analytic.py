@@ -3,11 +3,13 @@
 Exact MVA (:mod:`repro.sim.mva`) recurses over the population one
 customer at a time — O(N * M) work that is fine at the paper's 2700-user
 sweeps and hopeless at a million users.  This module solves the same
-closed network with the Schweitzer/Bard fixed point instead: per-station
-queues are estimated self-consistently, so cost is O(iterations * M)
-and *independent of N*.  A 4-16-8 topology at 1,000,000 users solves in
-microseconds, which is what lets the tiered planner explore analytically
-and spend discrete-event time only on knee confirmation.
+closed network with the Schweitzer/Bard approximation instead.  Its
+equations reduce to one monotone equation in the throughput, solved
+exactly by a safeguarded Newton root, so cost is O(steps * M) and
+*independent of N*.  A 4-16-8 topology at 1,000,000 users solves in
+a fraction of a millisecond, which is what lets the tiered planner
+explore analytically and spend discrete-event time only on knee
+confirmation.
 
 Beyond plain AMVA the model carries the three n-tier mechanisms the
 simulator implements (same station abstractions, same calibration):
@@ -33,6 +35,7 @@ per (topology, write ratio) covers the whole workload ladder.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from repro.errors import AnalyticUnsupported, SimulationError
@@ -46,12 +49,9 @@ from repro.workloads.calibration import (
     get_calibration,
 )
 
-#: Schweitzer fixed-point controls.  The tolerance scales with the
-#: population (queue lengths are O(N)); damping 0.5 keeps the iteration
-#: contractive near saturation where the undamped map oscillates.
-MAX_ITERATIONS = 10_000
-TOLERANCE = 1e-9
-DAMPING = 0.5
+#: The throughput root stops once its residual is within what one
+#: rounding unit of X moves it, or its bracket has no float left inside.
+ROUNDING = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,20 @@ class AnalyticResult:
                    key=lambda name: self.station_utilization[name])
 
 
-def _harmonic(k):
-    return sum(1.0 / i for i in range(1, k + 1))
+def _validate(model, users):
+    """Check *model*; returns each station's effective demand and its
+    weight in the summed response time.
 
-
-def _validate(stations, think_time, users):
+    The weight is the demand less the RAIDb-1 overcount: k replicated
+    write copies cost max-of-k ~= H_k of one copy, not k, so (k - H_k)/k
+    of each station's write residence comes off the response time.
+    """
+    stations = model.stations
     if users < 0:
         raise SimulationError(f"users must be non-negative: {users}")
-    if think_time < 0:
+    if model.think_time < 0:
         raise SimulationError(
-            f"think time must be non-negative: {think_time}")
+            f"think time must be non-negative: {model.think_time}")
     if not stations:
         raise SimulationError("need at least one station")
     names = [s.name for s in stations]
@@ -136,75 +140,28 @@ def _validate(stations, think_time, users):
         if station.effective_demand() < 0:
             raise SimulationError(
                 f"station {station.name} has negative demand")
-
-
-def solve_model(model, users):
-    """Schweitzer AMVA for *users* customers; returns AnalyticResult.
-
-    The fixed point: guess per-station queues, compute residences with
-    the arrival-theorem approximation ``q_arrival ~= (N-1)/N * q``,
-    derive throughput from the response time, feed Little's law back
-    into the queues.  The RAIDb-1 correction is applied to the summed
-    response time only — per-station queues keep their full (replicated)
-    residences, because every backend really does hold the write job.
-    """
-    stations = tuple(model.stations)
-    _validate(stations, model.think_time, users)
+        if station.write_demand > station.demand:
+            raise SimulationError(
+                f"station {station.name} writes more than its demand")
     if model.replicas < 1:
         raise SimulationError(
             f"replicas must be >= 1, got {model.replicas}")
-    names = [s.name for s in stations]
+    harmonic = sum(1.0 / i for i in range(1, model.replicas + 1))
+    overcount = (model.replicas - harmonic) / model.replicas
     effective = [s.effective_demand() for s in stations]
-    write_effective = [s.write_demand / s.servers for s in stations]
-    h_k = _harmonic(model.replicas)
-    # Fraction of the summed write residence that is overcounted: the
-    # k replicated copies cost max-of-k ~= H_k of one copy, not k.
-    overcount = (model.replicas - h_k) / model.replicas
-    if users == 0:
-        residence = list(effective)
-        response = (sum(residence)
-                    - overcount * sum(write_effective)
-                    + model.delay)
-        return AnalyticResult(
-            users=0, throughput=0.0, response_time=response,
-            station_queue=dict.fromkeys(names, 0.0),
-            station_utilization=dict.fromkeys(names, 0.0),
-            station_residence=dict(zip(names, residence)),
-            iterations=0, converged=True, goodput=0.0,
-            completed_response_time=response,
-        )
-    count = len(stations)
-    alpha = (users - 1) / users
-    queue = [users / count] * count
-    residence = list(effective)
-    throughput = 0.0
-    tolerance = TOLERANCE * max(1.0, float(users))
-    iterations = 0
-    converged = False
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        residence = [d * (1.0 + alpha * q)
-                     for d, q in zip(effective, queue)]
-        correction = overcount * sum(
-            w * (1.0 + alpha * q)
-            for w, q in zip(write_effective, queue))
-        response = sum(residence) - correction + model.delay
-        throughput = users / (response + model.think_time)
-        updated = [throughput * r for r in residence]
-        drift = max(abs(new - old)
-                    for new, old in zip(updated, queue))
-        queue = [DAMPING * old + (1.0 - DAMPING) * new
-                 for old, new in zip(queue, updated)]
-        if drift < tolerance:
-            converged = True
-            break
-    correction = overcount * sum(
-        w * (1.0 + alpha * q)
-        for w, q in zip(write_effective, queue))
-    response = sum(residence) - correction + model.delay
-    throughput = users / (response + model.think_time)
-    utilization = [min(throughput * d, 1.0) for d in effective]
+    weights = [d - overcount * (s.write_demand / s.servers)
+               for d, s in zip(effective, stations)]
+    return effective, weights
 
-    # Client abandonment: exponential response-time approximation.
+
+def _operating_point(model, throughput, response, queue, residence,
+                     utilization, rejection_floor=0.0, **fields):
+    """The :class:`AnalyticResult` at one operating point, with losses.
+
+    Client abandonment uses an exponential response-time approximation;
+    worker-pool rejection is the queue mass above each deployed
+    capacity, load the simulator's pools would have refused.
+    """
     timeout_ratio = 0.0
     completed_response = response
     if model.timeout is not None and model.timeout > 0 and response > 0:
@@ -215,30 +172,115 @@ def solve_model(model, users):
             completed_response = (
                 response
                 - model.timeout * timeout_ratio / (1.0 - timeout_ratio))
-
-    # Worker-pool rejection: queue mass above the deployed capacity is
-    # load the simulator's pools would have refused.
     overflow = sum(max(0.0, q - s.capacity)
-                   for q, s in zip(queue, stations)
+                   for q, s in zip(queue, model.stations)
                    if math.isfinite(s.capacity))
     in_system = max(throughput * response, 1e-12)
-    rejection_ratio = min(0.95, max(0.0, overflow / in_system))
-
-    goodput = throughput * max(0.0, 1.0 - timeout_ratio - rejection_ratio)
+    rejection_ratio = min(0.95, max(rejection_floor, overflow / in_system))
+    names = [s.name for s in model.stations]
     return AnalyticResult(
-        users=users,
         throughput=throughput,
         response_time=response,
         station_queue=dict(zip(names, queue)),
         station_utilization=dict(zip(names, utilization)),
         station_residence=dict(zip(names, residence)),
-        iterations=iterations,
-        converged=converged,
         timeout_ratio=timeout_ratio,
         rejection_ratio=rejection_ratio,
-        goodput=goodput,
+        goodput=throughput * max(
+            0.0, 1.0 - timeout_ratio - rejection_ratio),
         completed_response_time=completed_response,
+        **fields,
     )
+
+
+def _throughput_root(users, fixed, weights, loads):
+    """The throughput X solving ``X * (fixed + R(X)) = N``.
+
+    ``R(X) = sum(n_k / (1 - a_k * X))`` is the queueing part of the
+    response time.  The residual is convex and strictly increasing
+    below the first pole, so this is Numerical Recipes' ``rtsafe``:
+    Newton steps, with a bisection whenever a step would leave the
+    bracket.  Returns ``(X, steps)``.
+    """
+    base = fixed + sum(weights)
+    low = 0.0
+    high = min([users / base] + [1.0 / a for a in loads if a > 0.0])
+    # Lumping every station at least as loaded as station k into its
+    # queueing term (their stretch is no smaller) and holding the rest
+    # at their zero-load value leaves a quadratic whose smaller root
+    # bounds X from above, below every pole: Newton descends the convex
+    # residual from the tightest such bound monotonically.
+    x = high
+    lumped = 0.0
+    for a, n in sorted(zip(loads, weights), reverse=True):
+        lumped += n
+        rest = base - lumped
+        x = min(x, 2.0 * users / (base + users * a + math.sqrt(
+            (rest - users * a) ** 2
+            + lumped * (lumped + 2.0 * (rest + users * a)))))
+    steps = 0
+    while True:
+        steps += 1
+        total = fixed
+        slope = 0.0
+        for n, a in zip(weights, loads):
+            t = 1.0 / (1.0 - a * x)
+            total += n * t
+            slope += n * a * t * t
+        value = x * total - users
+        derivative = total + x * slope
+        if abs(value) <= ROUNDING * x * derivative:
+            return x, steps
+        if value < 0.0:
+            low = x
+        else:
+            high = x
+        x -= value / derivative
+        if not low < x < high:
+            x = 0.5 * (low + high)
+            if x in (low, high):
+                return x, steps
+
+
+def solve_model(model, users):
+    """Schweitzer AMVA for *users* customers; returns AnalyticResult.
+
+    The Schweitzer equations estimate the queue an arriving customer
+    sees as ``(N-1)/N * q``.  So with ``a_k = (N-1)/N * e_k`` for each
+    effective demand ``e_k``, a throughput X fixes every residence,
+    ``e_k / (1 - a_k*X)``, and every queue by Little's law.  The
+    RAIDb-1 correction comes off the summed response time only —
+    per-station queues keep their full (replicated) residences, because
+    every backend really does hold the write job.  What is left is one
+    equation, ``X * (Z + R(X)) = N``, solved to rounding by
+    :func:`_throughput_root`; ``iterations`` counts its steps.
+    """
+    effective, weights = _validate(model, users)
+    if users == 0:
+        response = sum(weights) + model.delay
+        names = [s.name for s in model.stations]
+        return AnalyticResult(
+            users=0, throughput=0.0, response_time=response,
+            station_queue=dict.fromkeys(names, 0.0),
+            station_utilization=dict.fromkeys(names, 0.0),
+            station_residence=dict(zip(names, effective)),
+            goodput=0.0, completed_response_time=response,
+        )
+    fixed = model.think_time + model.delay
+    if fixed + sum(weights) <= 0.0:
+        raise SimulationError(
+            "closed model has zero demand, delay and think time: its "
+            "throughput is unbounded")
+    loads = [(users - 1) / users * d for d in effective]
+    throughput, iterations = _throughput_root(users, fixed, weights, loads)
+    stretch = [1.0 / (1.0 - a * throughput) for a in loads]
+    residence = [d * t for d, t in zip(effective, stretch)]
+    return _operating_point(
+        model, throughput,
+        sum(n * t for n, t in zip(weights, stretch)) + model.delay,
+        [throughput * r for r in residence], residence,
+        [min(throughput * d, 1.0) for d in effective],
+        users=users, iterations=iterations)
 
 
 def require_analytic_support(arrival):
@@ -281,72 +323,28 @@ def solve_open(model, rate):
     :class:`~repro.errors.AnalyticUnsupported` *before* reaching this
     function — see :func:`repro.workloads.arrivals.analytic_supported`.
     """
-    stations = tuple(model.stations)
-    _validate(stations, model.think_time, users=0)
+    effective, weights = _validate(model, users=0)
     if rate <= 0:
         raise SimulationError(f"arrival rate must be positive: {rate}")
-    if model.replicas < 1:
-        raise SimulationError(
-            f"replicas must be >= 1, got {model.replicas}")
-    names = [s.name for s in stations]
-    effective = [s.effective_demand() for s in stations]
-    write_effective = [s.write_demand / s.servers for s in stations]
-    h_k = _harmonic(model.replicas)
-    overcount = (model.replicas - h_k) / model.replicas
     d_max = max(effective)
     if d_max <= 0:
         raise SimulationError("all stations have zero demand")
     capacity_rate = 1.0 / d_max
-    served = min(rate, capacity_rate)
     backlog_rate = max(0.0, rate - capacity_rate)
     offered = [rate * d for d in effective]
     rho = [min(r, OPEN_RHO_CAP) for r in offered]
-    residence = [d / (1.0 - r) for d, r in zip(effective, rho)]
-    correction = overcount * sum(
-        w / (1.0 - r) for w, r in zip(write_effective, rho))
-    response = sum(residence) - correction + model.delay
-    queue = [r / (1.0 - r) for r in rho]
-    utilization = [min(r, 1.0) for r in offered]
-
-    timeout_ratio = 0.0
-    completed_response = response
-    if model.timeout is not None and model.timeout > 0 and response > 0:
-        timeout_ratio = math.exp(-model.timeout / response)
-        if 1.0 - timeout_ratio < 1e-12:
-            completed_response = model.timeout / 2.0
-        else:
-            completed_response = (
-                response
-                - model.timeout * timeout_ratio / (1.0 - timeout_ratio))
-
-    overflow = sum(max(0.0, q - s.capacity)
-                   for q, s in zip(queue, stations)
-                   if math.isfinite(s.capacity))
-    in_system = max(served * response, 1e-12)
-    rejection_ratio = min(0.95, max(0.0, overflow / in_system))
-    if rate > 0:
-        # Arrivals beyond capacity are load the system refuses or
-        # abandons; fold the surplus into the rejection channel so the
-        # error ratio reflects the overload.
-        rejection_ratio = min(
-            0.95, max(rejection_ratio, backlog_rate / rate))
-
-    goodput = served * max(0.0, 1.0 - timeout_ratio - rejection_ratio)
-    return AnalyticResult(
-        users=0,
-        throughput=served,
-        response_time=response,
-        station_queue=dict(zip(names, queue)),
-        station_utilization=dict(zip(names, utilization)),
-        station_residence=dict(zip(names, residence)),
-        iterations=1,
-        converged=backlog_rate == 0.0,
-        timeout_ratio=timeout_ratio,
-        rejection_ratio=rejection_ratio,
-        goodput=goodput,
-        completed_response_time=completed_response,
-        backlog_rate=backlog_rate,
-    )
+    # Arrivals beyond capacity are load the system refuses or abandons:
+    # the surplus floors the rejection channel so the error ratio
+    # reflects the overload.
+    return _operating_point(
+        model, min(rate, capacity_rate),
+        sum(n / (1.0 - r) for n, r in zip(weights, rho)) + model.delay,
+        [r / (1.0 - r) for r in rho],
+        [d / (1.0 - r) for d, r in zip(effective, rho)],
+        [min(r, 1.0) for r in offered],
+        rejection_floor=backlog_rate / rate,
+        users=0, iterations=1, converged=backlog_rate == 0.0,
+        backlog_rate=backlog_rate)
 
 
 def solve_stations(stations, think_time, users):
@@ -362,20 +360,6 @@ def solve_stations(stations, think_time, users):
     )
     model = AnalyticModel(stations=adapted, think_time=think_time)
     return solve_model(model, users)
-
-
-def sweep(model, workloads):
-    """Solve the model for each workload; {users: AnalyticResult}."""
-    return {users: solve_model(model, users) for users in workloads}
-
-
-def saturation_users(model):
-    """Operational-law knee N* = (sum(D) + delay + Z) / D_max."""
-    demands = [s.effective_demand() for s in model.stations]
-    d_max = max(demands)
-    if d_max <= 0:
-        raise SimulationError("all stations have zero demand")
-    return (sum(demands) + model.delay + model.think_time) / d_max
 
 
 def ntier_model(benchmark, tier_hosts, write_ratio, *, think_time=None,

@@ -29,6 +29,9 @@ class Topology:
     db: int
 
     def __post_init__(self):
+        # Labels key every frontier, cache and result row: render once.
+        object.__setattr__(self, "_label",
+                           f"{self.web}-{self.app}-{self.db}")
         for tier in TIER_ORDER:
             count = getattr(self, tier)
             if not isinstance(count, int) or count < 0:
@@ -56,7 +59,7 @@ class Topology:
 
     def label(self):
         """Render back to the paper's ``w-a-d`` notation."""
-        return f"{self.web}-{self.app}-{self.db}"
+        return self._label
 
     def count(self, tier):
         """Number of servers in *tier* (one of :data:`TIER_ORDER`)."""

@@ -4,6 +4,11 @@ The contracts under test:
 
 - the Schweitzer AMVA solver tracks exact MVA away from saturation and
   dispatches through the one ``sim.solve`` entry point;
+- its exact root in throughput matches the damped fixed-point
+  iteration it replaced, respects the operational-law bounds, is
+  monotone in the population, and takes a bounded number of steps;
+- the knees and ``planner_decisions`` rows of one RUBiS and one RUBBoS
+  analytic knee exploration stay exactly as recorded;
 - ``fidelity="analytic"`` campaigns are byte-stable across worker
   counts, and the default ``fidelity="des"`` path is untouched;
 - a tiered (``fidelity="auto"``) exploration finds the same knee as a
@@ -17,11 +22,14 @@ The contracts under test:
   databases and databases written before the tier existed.
 """
 
+import hashlib
 import os
 import sqlite3
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     plan_campaign,
@@ -39,6 +47,7 @@ from repro.sim import (
     DES,
     AnalyticModel,
     AnalyticStation,
+    analytic,
     check_fidelity,
     mva,
 )
@@ -147,6 +156,195 @@ class TestAnalyticSolver:
             assert check_fidelity(name) == name
         with pytest.raises(SimulationError, match="unknown fidelity"):
             check_fidelity("exact")
+
+
+#: Root steps any closed solve may take; the safeguarded Newton root
+#: needs single digits in practice.
+MAX_ROOT_STEPS = 64
+
+#: Populations from a single user up to a million.
+USERS = st.integers(1, 300) | st.integers(1, 1_000_000)
+
+
+@st.composite
+def closed_models(draw, replicas=st.integers(1, 4)):
+    """Random 1-4 station closed models with every n-tier mechanism the
+    closed solve applies: multi-server stations, replicated writes
+    (``write_demand <= demand``), pure delay and think time."""
+    stations = []
+    for index in range(draw(st.integers(1, 4))):
+        demand = draw(st.floats(1e-3, 0.05))
+        stations.append(AnalyticStation(
+            f"s{index}", demand, servers=draw(st.integers(1, 4)),
+            write_demand=demand * draw(st.floats(0.0, 1.0))))
+    return AnalyticModel(
+        stations=tuple(stations),
+        think_time=draw(st.just(0.0) | st.floats(0.0, 7.0)),
+        delay=draw(st.just(0.0) | st.floats(0.0, 0.01)),
+        replicas=draw(replicas))
+
+
+def _reference_schweitzer(model, users, tolerance=1e-13):
+    """The damped Schweitzer fixed point the exact solve replaced,
+    iterated until no queue moves by more than *tolerance* relative.
+    Returns ``(throughput, queues)``."""
+    demands = [s.effective_demand() for s in model.stations]
+    writes = [s.write_demand / s.servers for s in model.stations]
+    harmonic = sum(1.0 / k for k in range(1, model.replicas + 1))
+    overcount = (model.replicas - harmonic) / model.replicas
+    alpha = (users - 1) / users
+    queue = [users / len(demands)] * len(demands)
+    for _ in range(1_000_000):
+        stretch = [1.0 + alpha * q for q in queue]
+        response = model.delay + sum(
+            (d - overcount * w) * s
+            for d, w, s in zip(demands, writes, stretch))
+        throughput = users / (response + model.think_time)
+        updated = [throughput * d * s for d, s in zip(demands, stretch)]
+        if all(abs(new - old) <= tolerance * new
+               for new, old in zip(updated, queue)):
+            return throughput, updated
+        queue = [0.5 * (old + new) for old, new in zip(queue, updated)]
+    raise AssertionError("reference iteration did not converge")
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=closed_models(), users=USERS)
+def test_exact_solve_matches_the_reference_iteration(model, users):
+    throughput, queues = _reference_schweitzer(model, users)
+    result = analytic.solve_model(model, users)
+    assert result.iterations <= MAX_ROOT_STEPS
+    assert result.converged
+    assert result.throughput == pytest.approx(throughput, rel=1e-9)
+    assert list(result.station_queue.values()) == pytest.approx(
+        queues, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=closed_models(), users=USERS)
+def test_throughput_respects_the_operational_bounds(model, users):
+    """``X <= min(N / (D + delay + Z), 1 / D_max)`` without replicated
+    writes.  The RAIDb-1 correction lowers the zero-load response below
+    ``D + delay`` and lets X pass ``1 / D_max`` near the knee, so with
+    replicas only the corrected load bound and the first pole of the
+    Schweitzer equations remain."""
+    result = analytic.solve_model(model, users)
+    assert result.iterations <= MAX_ROOT_STEPS
+    demands = [s.effective_demand() for s in model.stations]
+    zero_load = analytic.solve_model(model, 0).response_time
+    bound = users / (zero_load + model.think_time)
+    if model.replicas == 1:
+        bound = min(bound, 1.0 / max(demands))
+    assert result.throughput <= bound * (1 + 1e-12)
+    alpha = (users - 1) / users
+    assert result.throughput * alpha * max(demands) < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=closed_models(replicas=st.just(1)),
+       ladder=st.lists(USERS, min_size=2, max_size=12, unique=True))
+def test_throughput_is_non_decreasing_in_users(model, ladder):
+    """Without replicated writes X never falls as N grows.  (With them
+    the RAIDb-1 correction lets X overshoot ``1 / D_max`` near the knee
+    and settle back, so the ladder there is not monotone.)"""
+    solved = [analytic.solve_model(model, n) for n in sorted(ladder)]
+    for lighter, heavier in zip(solved, solved[1:]):
+        assert heavier.iterations <= MAX_ROOT_STEPS
+        assert heavier.throughput >= lighter.throughput * (1 - 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(demands=st.lists(st.floats(1e-3, 0.05), min_size=1, max_size=5),
+       think_time=st.floats(0.0, 7.0),
+       users=st.integers(1, 300))
+def test_tracks_exact_mva_on_product_form_networks(demands, think_time,
+                                                   users):
+    """Single-server stations, no caps, no timeouts: the approximation
+    stays within 7 % of exact MVA on throughput and 30 % on response
+    time (its worst cases sit near 6.8 % and 25 %)."""
+    stations = [mva.MvaStation(f"s{index}", demand)
+                for index, demand in enumerate(demands)]
+    exact = solve(stations, fidelity="mva", users=users,
+                  think_time=think_time)
+    fluid = solve(stations, fidelity=ANALYTIC, users=users,
+                  think_time=think_time)
+    assert fluid.iterations <= MAX_ROOT_STEPS
+    assert fluid.throughput == pytest.approx(exact.throughput, rel=0.07)
+    assert fluid.response_time == pytest.approx(exact.response_time,
+                                                rel=0.30)
+
+
+def test_degenerate_closed_model_is_a_typed_failure():
+    model = AnalyticModel(stations=(AnalyticStation("idle", 0.0),),
+                          think_time=0.0)
+    with pytest.raises(SimulationError, match="unbounded"):
+        analytic.solve_model(model, 10)
+    # More write work than work would give the station a negative
+    # weight in the response time, and the root no unique solution.
+    model = AnalyticModel(
+        stations=(AnalyticStation("db", 0.01, write_demand=0.02),),
+        think_time=1.0, replicas=2)
+    with pytest.raises(SimulationError, match="writes more"):
+        analytic.solve_model(model, 10)
+
+
+#: Knee explorations whose decisions are pinned below: one RUBiS
+#: (app-bound) and one RUBBoS (DB-bound) family on the analytic tier.
+PINNED_EXPLORATIONS = {
+    "rubis": """
+benchmark rubis; platform emulab;
+experiment "pinned-rubis" {
+    topology 1-1-1, 1-2-1, 1-2-2;
+    workload 50 to 4000 step 50;
+    write_ratio 0%, 15%, 30%;
+}
+""",
+    "rubbos": """
+benchmark rubbos; platform emulab;
+experiment "pinned-rubbos" {
+    topology 1-1-1, 1-2-1, 1-1-2;
+    workload 50 to 6000 step 50;
+    write_ratio 0%, 15%, 30%;
+}
+""",
+}
+
+#: ``(knees, trials executed, planner_decisions row count, sha256 of
+#: the rows' reprs)``, as recorded with the damped fixed-point solver.
+PINNED_DECISIONS = {
+    "rubis": (
+        [("1-1-1", 0.0, 300), ("1-1-1", 0.15, 350), ("1-1-1", 0.3, 400),
+         ("1-2-1", 0.0, 600), ("1-2-1", 0.15, 650), ("1-2-1", 0.3, 800),
+         ("1-2-2", 0.0, 600), ("1-2-2", 0.15, 650), ("1-2-2", 0.3, 800)],
+        72, 730,
+        "631b2e9e096d5820d3f7b8d2d8995f43acb90d0b7d22ac958da289ad0faf6abf",
+    ),
+    "rubbos": (
+        [("1-1-1", 0.0, 2650), ("1-1-1", 0.15, 2900), ("1-1-1", 0.3, 3200),
+         ("1-2-1", 0.0, 2650), ("1-2-1", 0.15, 2900), ("1-2-1", 0.3, 3200),
+         ("1-1-2", 0.0, 4200), ("1-1-2", 0.15, 4200),
+         ("1-1-2", 0.3, 4200)],
+        81, 1090,
+        "c8a0e35d8d91156fb615e7148fa26fbd141a72acd86adc1d73c167a5b7fe435e",
+    ),
+}
+
+
+class TestPinnedDecisions:
+    """The solver may change in the low bits; a knee or a decision may
+    not."""
+
+    @pytest.mark.parametrize("family", sorted(PINNED_EXPLORATIONS))
+    def test_knees_and_decisions_are_unchanged(self, family):
+        report = run_adaptive(PINNED_EXPLORATIONS[family], policy=KNEE,
+                              fidelity=ANALYTIC)
+        knees = [(d.topology, d.write_ratio, d.workload)
+                 for d in report.outcome.knees if d.action == KNEE]
+        rows = report.database.dump_rows("planner_decisions")
+        digest = hashlib.sha256(
+            "\n".join(map(repr, rows)).encode()).hexdigest()
+        assert (knees, report.outcome.executed, len(rows),
+                digest) == PINNED_DECISIONS[family]
 
 
 class TestFidelityCampaigns:
