@@ -12,8 +12,9 @@ Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``:
   trials/sec and byte-compared across worker counts.
 
 The payload also counts the analytic solves of both legs and the
-most root steps any of them took (``solver``); CI gates that count,
-which no runner's speed can move.
+most root steps any of them took (``solver``), and the SLO verdicts
+the planner judged against the trials it ran (``planner``); CI gates
+both counts, which no runner's speed can move.
 
 Three assertions gate the result:
 
@@ -34,6 +35,7 @@ import pathlib
 import time
 
 from repro.api import run_adaptive, run_campaign
+from repro.planner import policy
 from repro.planner.policy import KNEE
 from repro.sim import analytic
 
@@ -84,6 +86,14 @@ def test_bench_analytic(monkeypatch):
         return result
 
     monkeypatch.setattr(analytic, "solve_model", counted)
+    verdicts = []
+    slo_violated = policy.slo_violated
+
+    def judged(result, slo):
+        verdicts.append(result)
+        return slo_violated(result, slo)
+
+    monkeypatch.setattr(policy, "slo_violated", judged)
     start = time.perf_counter()
     explored = run_adaptive(MILLION_TBL, policy="knee", fidelity="auto",
                             node_count=40)
@@ -116,6 +126,10 @@ def test_bench_analytic(monkeypatch):
         "solver": {
             "solves": len(steps),
             "max_iterations": max(steps),
+        },
+        "planner": {
+            "verdicts": len(verdicts),
+            "trials": explored.outcome.executed,
         },
         "byte_identical": byte_identical,
     }

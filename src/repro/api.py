@@ -221,7 +221,6 @@ def plan_campaign(tbl_text, *, policy="knee", budget=None, experiment=None,
     mirrors :func:`run_adaptive`: ``"auto"`` previews the tiered
     policy, ``"analytic"`` previews a pure analytic exploration.
     """
-    from repro.core.campaign import _AnalyticExploration
     from repro.planner import make_policy, plan_preview
     from repro.spec.tbl import parse as parse_tbl
 
@@ -237,17 +236,8 @@ def plan_campaign(tbl_text, *, policy="knee", budget=None, experiment=None,
             f"spec defines {len(spec.experiments)} experiments "
             f"({names}); pass experiment=<name>"
         )
-    if fidelity == AUTO:
-        if not isinstance(policy, str) or policy not in ("knee", "tiered"):
-            raise ExperimentError(
-                f"fidelity 'auto' explores with the tiered knee policy; "
-                f"policy {policy!r} does not support it")
-        policy = "tiered"
-    policy_obj = make_policy(policy, budget=budget) \
-        if isinstance(policy, str) else policy
-    if fidelity == ANALYTIC:
-        policy_obj = _AnalyticExploration(policy_obj)
-    return plan_preview(chosen, policy_obj)
+    return plan_preview(chosen, make_policy(policy, budget=budget,
+                                            fidelity=fidelity))
 
 
 def reproduce_figure(figure_id, *, scale=None, jobs=1, tracer=None,

@@ -29,7 +29,6 @@ halves:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from dataclasses import dataclass, field
@@ -145,27 +144,6 @@ class CampaignReport:
         if extras:
             text += "; " + ", ".join(extras)
         return text
-
-
-class _AnalyticExploration:
-    """Policy adapter pinning every proposal to the analytic tier.
-
-    ``run_adaptive(fidelity="analytic")`` explores with whatever policy
-    the caller chose, but every trial (and every logged decision) runs
-    on the fluid fast path — the no-confirmation mode for when the
-    caller wants the millisecond sweep and will validate elsewhere.
-    """
-
-    def __init__(self, policy):
-        self._policy = policy
-
-    @property
-    def name(self):
-        return self._policy.name
-
-    def propose(self, frontier):
-        return [dataclasses.replace(decision, fidelity=ANALYTIC)
-                for decision in self._policy.propose(frontier)]
 
 
 class CampaignState:
@@ -526,6 +504,8 @@ class ObservationCampaign:
             jobs=jobs, fidelity=fidelity, wall_s=wall_s)
         self.database.insert_run_card(card)
         provenance.export_run_card(card, self.database.path)
+        if self.tenant is not None:     # the card holds its attribution
+            hotpath.forget_tenant(self.tenant)
 
     def _record_cache_stats(self, report):
         """Capture hot-path cache counters into the report and the
@@ -562,8 +542,7 @@ class ObservationCampaign:
         An *executor* (see :meth:`run`) replaces the private scheduler
         session: each planner round's batch runs on it instead.
         """
-        from repro.planner import AdaptivePlanner, BudgetedExplorer, \
-            make_policy
+        from repro.planner import AdaptivePlanner, make_policy
 
         check_fidelity(fidelity)
         started = time.perf_counter()
@@ -588,26 +567,7 @@ class ObservationCampaign:
                         f"fidelity auto degrades to des")
             else:
                 require_analytic_support(experiment.arrival)
-        if fidelity == AUTO and isinstance(policy, str):
-            # "auto" is the tiered composition: explore analytically,
-            # confirm at the knee with DES.
-            if policy not in ("knee", "tiered"):
-                raise ExperimentError(
-                    f"fidelity 'auto' explores with the tiered knee "
-                    f"policy; policy {policy!r} does not support it — "
-                    f"pass fidelity 'des' or 'analytic'")
-            policy = "tiered"
-        if isinstance(policy, str):
-            policy_obj = make_policy(policy, budget=budget)
-        else:
-            policy_obj = policy if budget is None \
-                else BudgetedExplorer(policy, budget)
-        if fidelity == AUTO and policy_obj.name != "tiered":
-            raise ExperimentError(
-                f"fidelity 'auto' needs a tiered policy; "
-                f"{policy_obj.name!r} proposes a single tier")
-        if fidelity == ANALYTIC:
-            policy_obj = _AnalyticExploration(policy_obj)
+        policy_obj = make_policy(policy, budget=budget, fidelity=fidelity)
         self.state.record_meta(self.database)
         db = self.database
         db.set_meta(META_PLANNER_POLICY, policy_obj.name)

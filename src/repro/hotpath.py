@@ -81,11 +81,6 @@ def tenant(name):
         _scope.tenant = previous
 
 
-def current_tenant():
-    """The campaign the calling thread is attributed to (or ``None``)."""
-    return getattr(_scope, "tenant", None)
-
-
 @contextmanager
 def caches_disabled():
     """Run a block with the hot-path caches off: every cache is emptied
@@ -105,6 +100,14 @@ def clear():
     with _state_lock:
         for cache in _caches.values():
             cache.clear()
+
+
+def forget_tenant(name):
+    """Drop campaign *name*'s attribution counters from every cache
+    (once its run card holds them); the plane-wide totals keep them."""
+    with _state_lock:
+        for cache in _caches.values():
+            cache.forget_tenant(name)
 
 
 def stats(tenant=None):
@@ -154,9 +157,9 @@ class MemoCache:
         same key both build, and the later store wins — safe because
         values are pure functions of their key.
         """
-        # Inlined current_tenant(): get() is the hottest call in a warm
-        # campaign (every script compile, extraction plan and chassis
-        # lookup lands here).
+        # The tenant lookup is inline: get() is the hottest call in a
+        # warm campaign (every script compile, extraction plan and
+        # chassis lookup lands here).
         if not _enabled:
             return build()
         tenant = getattr(_scope, "tenant", None)
@@ -191,6 +194,11 @@ class MemoCache:
             self._misses = 0
             self._tenant_hits.clear()
             self._tenant_misses.clear()
+
+    def forget_tenant(self, tenant):
+        with self._lock:
+            self._tenant_hits.pop(tenant, None)
+            self._tenant_misses.pop(tenant, None)
 
     def snapshot_stats(self, tenant=None):
         with self._lock:

@@ -17,27 +17,26 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepPoint:
-    """One point of the experiment universe (repetitions excluded)."""
+    """One point of the experiment universe (repetitions excluded).
+
+    Policies look points up by key many times per round, so the key is
+    stored; a caller that has already derived it passes it as *key*.
+    """
 
     topology: object            # spec.topology.Topology
     workload: int
     write_ratio: float
 
-    def __post_init__(self):
-        # Policies look points up by key many times per round.
-        object.__setattr__(self, "_key", (
-            self.topology.label(), self.workload,
-            round(self.write_ratio, 6)))
+    def __init__(self, topology, workload, write_ratio, key=None):
+        self.__dict__.update(
+            topology=topology, workload=workload, write_ratio=write_ratio,
+            _key=key or (topology.label(), workload, round(write_ratio, 6)))
 
     def key(self):
         """The point's identity, matching :meth:`TrialResult.key`."""
         return self._key
-
-    def describe(self):
-        return (f"{self.topology.label()} u={self.workload} "
-                f"wr={self.write_ratio:.0%}")
 
 
 class ObservationFrontier:
@@ -52,11 +51,32 @@ class ObservationFrontier:
 
     def __init__(self, experiment):
         self.experiment = experiment
-        self.universe = tuple(
-            SweepPoint(topology, workload, write_ratio)
-            for topology, workload, write_ratio in experiment.points()
-        )
-        self._by_key = {point.key(): point for point in self.universe}
+        self._workloads = sorted(set(experiment.workloads))
+        self._topologies = list(dict.fromkeys(experiment.topologies))
+        self._write_ratios = list(dict.fromkeys(experiment.write_ratios))
+        self._groups = [(topology, ratio) for topology in self._topologies
+                        for ratio in self._write_ratios]
+        self._rung = {workload: rung
+                      for rung, workload in enumerate(self._workloads)}
+        # One pass in ExperimentDef.points() order files each point by
+        # key and by group rung; a later duplicate replaces an earlier.
+        universe = []
+        self._by_key = {}
+        self._ladders = {}           # group_id -> points by rung
+        for topology in experiment.topologies:
+            label = topology.label()
+            for ratio in experiment.write_ratios:
+                rounded = round(ratio, 6)
+                ladder = self._ladders.setdefault(
+                    (label, rounded), [None] * len(self._workloads))
+                for workload in experiment.workloads:
+                    key = (label, workload, rounded)
+                    point = self._by_key[key] = SweepPoint(
+                        topology, workload, ratio, key)
+                    universe.append(point)
+                    ladder[self._rung[workload]] = point
+        self.universe = tuple(universe)
+        self._rungs = {group_id: {} for group_id in self._ladders}
         self._measured = {}          # key -> TrialResult (repetition 0)
         self._pruned = {}            # key -> reason
         self._pending = set()        # keys proposed but not yet observed
@@ -76,33 +96,32 @@ class ObservationFrontier:
 
     def topologies(self):
         """Unique topologies in spec declaration order."""
-        seen = []
-        for topology in self.experiment.topologies:
-            if topology not in seen:
-                seen.append(topology)
-        return seen
+        return self._topologies
 
     def workloads(self):
         """The workload ladder, ascending."""
-        return sorted(set(self.experiment.workloads))
+        return self._workloads
 
     def write_ratios(self):
         """Unique write ratios in spec declaration order."""
-        seen = []
-        for ratio in self.experiment.write_ratios:
-            if ratio not in seen:
-                seen.append(ratio)
-        return seen
+        return self._write_ratios
 
     def groups(self):
         """``(topology, write_ratio)`` series, in canonical sweep order.
 
         A group is one response-time-vs-workload curve — the unit the
-        knee policy bisects and the promotion policy walks.
+        knee policy bisects and the promotion policy walks.  Like the
+        other queries, it returns the frontier's own list.
         """
-        return [(topology, ratio)
-                for topology in self.topologies()
-                for ratio in self.write_ratios()]
+        return self._groups
+
+    def ladder(self, group_id):
+        """Group ``(label, round(write_ratio, 6))``'s points by rung."""
+        return self._ladders[group_id]
+
+    def measured_rungs(self, group_id):
+        """The group's latest observation per rung: ``{rung: result}``."""
+        return self._rungs[group_id]
 
     # -- state transitions -------------------------------------------------
 
@@ -111,9 +130,10 @@ class ObservationFrontier:
 
     def observe(self, point, result):
         """Fold one observed trial back into the frontier."""
-        key = point.key()
+        key = label, workload, ratio = point.key()
         self._pending.discard(key)
         self._measured[key] = result
+        self._rungs[label, ratio][self._rung[workload]] = result
 
     def prune(self, point, reason):
         """Mark a point as skippable (its verdict is inferable)."""
@@ -146,9 +166,3 @@ class ObservationFrontier:
         return [point for point in self.universe
                 if not self.is_resolved(point)
                 and not self.is_pending(point)]
-
-    def describe(self):
-        return (f"{len(self.universe)} points: "
-                f"{len(self._measured)} measured, "
-                f"{len(self._pruned)} pruned, "
-                f"{len(self._pending)} pending")

@@ -39,7 +39,6 @@ class AdaptiveOutcome:
     policy_name: str
     rounds: int = 0
     executed: int = 0            # trials actually run (incl. repetitions)
-    proposed_points: int = 0     # distinct points the policy measured
     pruned_points: int = 0
     converged: bool = False
     budget_exhausted: bool = False
@@ -149,7 +148,6 @@ class AdaptivePlanner:
                     ))
                     next_index += 1
             outcome.rounds = round_no
-            outcome.proposed_points += len(measures)
             outcome.decisions.extend(decisions)
             self._count(decisions)
             if on_round is not None:

@@ -11,9 +11,9 @@ so the same policy over the same observations emits the same decision
 log at any worker count.
 
 Policies may keep internal walk state (the promotion policy's current
-rung, the knee policy's concluded groups) because the adaptive loop
-replays identically on resume: state only ever derives from the
-observations the frontier fed back.
+rung, the knee policy's concluded groups and judged rungs) because the
+adaptive loop replays identically on resume: state only ever derives
+from the observations the frontier fed back.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.bottleneck import (
     slo_violated,
 )
 from repro.errors import ExperimentError
-from repro.sim import ANALYTIC, DES
+from repro.sim import ANALYTIC, AUTO, DES
 
 #: Decision actions the planner records (the ``planner_decisions``
 #: table's vocabulary).
@@ -103,9 +103,11 @@ class Policy:
     :meth:`propose` returns the next round's :class:`Decision` list;
     an empty-``measure`` round means the policy is done.  Subclasses
     must be deterministic functions of the frontier's observations.
+    *fidelity* is the tier the policy's decisions are created at.
     """
 
     name = "?"
+    fidelity = DES
 
     def propose(self, frontier):
         raise NotImplementedError
@@ -122,8 +124,12 @@ class GridPolicy(Policy):
 
     name = "grid"
 
+    def __init__(self, fidelity=DES):
+        self.fidelity = fidelity
+
     def propose(self, frontier):
-        return [Decision.measure(point, "exhaustive grid sweep")
+        return [Decision.measure(point, "exhaustive grid sweep",
+                                 self.fidelity)
                 for point in frontier.unresolved()]
 
 
@@ -143,9 +149,11 @@ class KneeBisectionPolicy(Policy):
 
     name = "knee"
 
-    def __init__(self, slo=None):
+    def __init__(self, slo=None, fidelity=DES):
         self.slo = slo
+        self.fidelity = fidelity
         self._concluded = set()
+        self._judged = {}            # group_id -> {rung: (result, verdict)}
 
     def propose(self, frontier):
         slo = self.slo if self.slo is not None \
@@ -156,28 +164,32 @@ class KneeBisectionPolicy(Policy):
             if group_id in self._concluded:
                 continue
             decisions.extend(
-                self._group(frontier, topology, write_ratio, slo,
-                            group_id))
+                self._group(frontier, group_id, write_ratio, slo))
         return decisions
 
-    def _group(self, frontier, topology, write_ratio, slo, group_id):
+    def _group(self, frontier, group_id, write_ratio, slo):
         workloads = frontier.workloads()
-        points = [frontier.point(topology, w, write_ratio)
-                  for w in workloads]
+        points = frontier.ladder(group_id)
+        # Each observed result is judged once; a rung observed again (a
+        # DES confirmation replacing an analytic result) is judged anew.
+        judged = self._judged.setdefault(group_id, {})
         verdicts = {}
-        for index, point in enumerate(points):
-            result = frontier.result_at(point)
-            if result is not None:
-                verdicts[index] = slo_violated(result, slo)
+        for rung, result in frontier.measured_rungs(group_id).items():
+            memo = judged.get(rung)
+            if memo is None or memo[0] is not result:
+                memo = judged[rung] = (result, slo_violated(result, slo))
+            verdicts[rung] = memo[1]
         last = len(workloads) - 1
         proposals = []
         if 0 not in verdicts and not frontier.is_pruned(points[0]):
             proposals.append(Decision.measure(
-                points[0], "bisection endpoint (lightest workload)"))
+                points[0], "bisection endpoint (lightest workload)",
+                self.fidelity))
         if last != 0 and last not in verdicts \
                 and not frontier.is_pruned(points[last]):
             proposals.append(Decision.measure(
-                points[last], "bisection endpoint (heaviest workload)"))
+                points[last], "bisection endpoint (heaviest workload)",
+                self.fidelity))
         if proposals:
             return proposals
         highest_pass = max(
@@ -192,21 +204,22 @@ class KneeBisectionPolicy(Policy):
                        workloads[min(lowest_violation, last)])
             return [Decision.measure(
                 points[mid],
-                f"bisect bracket {bracket[0]}..{bracket[1]}")]
+                f"bisect bracket {bracket[0]}..{bracket[1]}",
+                self.fidelity)]
         # Bracket closed: conclude the group and prune the points the
         # bisection proved it never needed to run.
+        below = (f"inferred in-SLO (below measured pass at "
+                 f"u={workloads[highest_pass]})")
+        above = (f"inferred SLO-violating (above measured violation at "
+                 f"u={workloads[min(lowest_violation, last)]})")
         decisions = []
         for index, point in enumerate(points):
             if index in verdicts or frontier.is_pruned(point):
                 continue
-            if index <= highest_pass:
-                reason = (f"inferred in-SLO (below measured pass at "
-                          f"u={workloads[highest_pass]})")
-            else:
-                reason = (f"inferred SLO-violating (above measured "
-                          f"violation at u={workloads[lowest_violation]})")
-            decisions.append(Decision.prune(point, reason))
-        label = topology.label()
+            decisions.append(Decision.prune(
+                point, below if index <= highest_pass else above,
+                self.fidelity))
+        label = group_id[0]
         if lowest_violation <= last:
             knee = workloads[lowest_violation]
             decisions.append(Decision.note(
@@ -214,12 +227,14 @@ class KneeBisectionPolicy(Policy):
                 f"SLO knee at u={knee} on {label} "
                 f"(largest in-SLO workload: "
                 f"{workloads[highest_pass] if highest_pass >= 0 else 'none'})",
-                topology=label, workload=knee, write_ratio=write_ratio))
+                topology=label, workload=knee, write_ratio=write_ratio,
+                fidelity=self.fidelity))
         else:
             decisions.append(Decision.note(
                 NO_KNEE,
                 f"no SLO violation up to u={workloads[last]} on {label}",
-                topology=label, workload=None, write_ratio=write_ratio))
+                topology=label, workload=None, write_ratio=write_ratio,
+                fidelity=self.fidelity))
         self._concluded.add(group_id)
         return decisions
 
@@ -244,22 +259,15 @@ class TieredFidelityPolicy(Policy):
 
     def __init__(self, slo=None):
         self.slo = slo
-        self._inner = KneeBisectionPolicy(slo=slo)
-        self._confirming = {}        # group_id -> hypothesis dict
-        self._concluded = set()
+        self._inner = KneeBisectionPolicy(slo=slo, fidelity=ANALYTIC)
+        self._confirming = {}        # open group_id -> hypothesis dict
 
     def propose(self, frontier):
         slo = self.slo if self.slo is not None \
             else frontier.experiment.slo
         decisions = []
         for decision in self._inner.propose(frontier):
-            if decision.action == MEASURE:
-                decisions.append(Decision.measure(
-                    decision.point, decision.reason, fidelity=ANALYTIC))
-            elif decision.action == PRUNE:
-                decisions.append(Decision.prune(
-                    decision.point, decision.reason, fidelity=ANALYTIC))
-            elif decision.action in (KNEE, NO_KNEE):
+            if decision.action in (KNEE, NO_KNEE):
                 # The inner policy concluded a group on analytic
                 # evidence alone; swallow its verdict and open the DES
                 # confirmation for that group instead.
@@ -270,26 +278,20 @@ class TieredFidelityPolicy(Policy):
             else:
                 decisions.append(decision)
         for group_id in sorted(self._confirming):
-            if group_id in self._concluded:
-                continue
             decisions.extend(self._confirm(
                 frontier, group_id, self._confirming[group_id], slo))
         return decisions
 
     def _hypothesis(self, frontier, decision):
-        """The analytic conclusion as (knee index, pass index) over the
+        """The analytic conclusion as (knee rung, pass rung) over the
         workload ladder; either side may be None at the ladder's edge."""
-        workloads = frontier.workloads()
-        topology = next(t for t in frontier.topologies()
-                        if t.label() == decision.topology)
         if decision.action == NO_KNEE:
-            return {"topology": topology,
-                    "write_ratio": decision.write_ratio,
-                    "knee": None, "pass": len(workloads) - 1}
-        knee = workloads.index(decision.workload)
-        return {"topology": topology,
-                "write_ratio": decision.write_ratio,
-                "knee": knee, "pass": knee - 1 if knee > 0 else None}
+            knee, passed = None, len(frontier.workloads()) - 1
+        else:
+            knee = frontier.workloads().index(decision.workload)
+            passed = knee - 1 if knee > 0 else None
+        return {"write_ratio": decision.write_ratio,
+                "knee": knee, "pass": passed}
 
     def _confirm(self, frontier, group_id, state, slo):
         workloads = frontier.workloads()
@@ -303,9 +305,7 @@ class TieredFidelityPolicy(Policy):
             proposals = []
             verdicts = {}
             for role, index, expect in targets:
-                point = frontier.point(state["topology"],
-                                       workloads[index],
-                                       state["write_ratio"])
+                point = frontier.ladder(group_id)[index]
                 result = frontier.result_at(point)
                 if result is None or result.fidelity != DES:
                     if not frontier.is_pending(point):
@@ -335,11 +335,11 @@ class TieredFidelityPolicy(Policy):
                     state["pass"] = state["knee"]
                     state["knee"] = state["knee"] + 1
                 continue
-            return self._conclude(frontier, group_id, state, workloads)
+            return self._conclude(group_id, state, workloads)
 
-    def _conclude(self, frontier, group_id, state, workloads):
-        self._concluded.add(group_id)
-        label = state["topology"].label()
+    def _conclude(self, group_id, state, workloads):
+        del self._confirming[group_id]
+        label = group_id[0]
         write_ratio = state["write_ratio"]
         if state["knee"] is None:
             return [Decision.note(
@@ -374,9 +374,11 @@ class TopologyPromotionPolicy(Policy):
 
     name = "promote"
 
-    def __init__(self, slo=None, threshold=SATURATION_CPU_PERCENT):
+    def __init__(self, slo=None, threshold=SATURATION_CPU_PERCENT,
+                 fidelity=DES):
         self.slo = slo
         self.threshold = threshold
+        self.fidelity = fidelity
         self._walks = {}
 
     def propose(self, frontier):
@@ -413,7 +415,7 @@ class TopologyPromotionPolicy(Policy):
                     f"u={workloads[-1]} within SLO; nothing left to "
                     f"promote for",
                     topology=current.label(), workload=workloads[-1],
-                    write_ratio=write_ratio))
+                    write_ratio=write_ratio, fidelity=self.fidelity))
                 walk["done"] = True
                 return out
             workload = workloads[walk["workload_index"]]
@@ -425,7 +427,7 @@ class TopologyPromotionPolicy(Policy):
                     continue
                 out.append(Decision.measure(
                     point,
-                    f"ascending walk on {current.label()}"))
+                    f"ascending walk on {current.label()}", self.fidelity))
                 return out
             if not slo_violated(result, slo):
                 walk["workload_index"] += 1
@@ -437,7 +439,7 @@ class TopologyPromotionPolicy(Policy):
                     f"SLO violated at u={workload} on {current.label()} "
                     f"with no saturated tier; scaling will not help",
                     topology=current.label(), workload=workload,
-                    write_ratio=write_ratio))
+                    write_ratio=write_ratio, fidelity=self.fidelity))
                 walk["done"] = True
                 return out
             candidate = next(
@@ -453,7 +455,7 @@ class TopologyPromotionPolicy(Policy):
                     f"experiment family declares no larger {tier} "
                     f"topology dominating {current.label()}",
                     topology=current.label(), workload=workload,
-                    write_ratio=write_ratio))
+                    write_ratio=write_ratio, fidelity=self.fidelity))
                 walk["done"] = True
                 return out
             out.append(Decision.note(
@@ -462,7 +464,7 @@ class TopologyPromotionPolicy(Policy):
                 f"({result.tier_cpu(tier):.0f}% CPU) at u={workload}; "
                 f"promoting {current.label()} -> {candidate.label()}",
                 topology=candidate.label(), workload=workload,
-                write_ratio=write_ratio))
+                write_ratio=write_ratio, fidelity=self.fidelity))
             for index in range(walk["workload_index"]):
                 lighter = frontier.point(candidate, workloads[index],
                                          write_ratio)
@@ -470,7 +472,7 @@ class TopologyPromotionPolicy(Policy):
                     out.append(Decision.prune(
                         lighter,
                         f"{current.label()} already carried "
-                        f"u={workloads[index]} within SLO"))
+                        f"u={workloads[index]} within SLO", self.fidelity))
             for index in range(walk["workload_index"] + 1,
                                len(workloads)):
                 heavier = frontier.point(current, workloads[index],
@@ -479,7 +481,7 @@ class TopologyPromotionPolicy(Policy):
                     out.append(Decision.prune(
                         heavier,
                         f"{current.label()} already violates the SLO "
-                        f"at u={workload}"))
+                        f"at u={workload}", self.fidelity))
             walk["visited"].add(candidate.label())
             walk["current"] = candidate
             # Re-test the violating workload on the promoted topology.
@@ -501,13 +503,11 @@ class BudgetedExplorer(Policy):
             raise ExperimentError(
                 f"planner budget must be at least 1 trial, got {budget}")
         self.policy = policy
+        self.name = policy.name
+        self.fidelity = getattr(policy, "fidelity", DES)
         self.budget = budget
         self._spent = 0
         self._exhausted = False
-
-    @property
-    def name(self):
-        return self.policy.name
 
     def propose(self, frontier):
         if self._exhausted:
@@ -530,27 +530,46 @@ class BudgetedExplorer(Policy):
                 BUDGET_EXHAUSTED,
                 f"trial budget {self.budget} exhausted after "
                 f"{self._spent} trial(s); {deferred} proposed point(s) "
-                f"deferred"))
+                f"deferred", fidelity=self.fidelity))
             self._exhausted = True
         return kept
 
 
-def make_policy(name, *, slo=None, budget=None):
-    """Build a policy from its CLI/meta name (``grid``/``knee``/
-    ``promote``), optionally budget-wrapped."""
-    if name == "grid":
-        policy = GridPolicy()
-    elif name == "knee":
-        policy = KneeBisectionPolicy(slo=slo)
-    elif name == "promote":
-        policy = TopologyPromotionPolicy(slo=slo)
-    elif name == "tiered":
-        policy = TieredFidelityPolicy(slo=slo)
-    else:
+def make_policy(policy, *, slo=None, budget=None, fidelity=DES):
+    """The policy an exploration at *fidelity* runs, optionally
+    budget-wrapped: a CLI/meta name (``grid``/``knee``/``promote``/
+    ``tiered``; ``"auto"`` is ``tiered``) built to create its decisions
+    at *fidelity*, or a :class:`Policy` instance already proposing at it.
+    """
+    name = policy if isinstance(policy, str) else policy.name
+    if fidelity == AUTO:
+        if policy not in ("knee", "tiered") and name != "tiered":
+            raise ExperimentError(
+                f"fidelity 'auto' explores with the tiered knee policy; "
+                f"policy {name!r} does not support it — pass fidelity "
+                f"'des' or 'analytic'")
+        policy = "tiered" if policy == "knee" else policy
+        fidelity = DES
+    elif name == "tiered" and fidelity != DES:
         raise ExperimentError(
-            f"unknown planner policy {name!r}; "
-            f"known: {', '.join(POLICY_NAMES)}"
-        )
+            "policy 'tiered' confirms its knees with DES; explore with "
+            "it at fidelity 'auto', not 'analytic'")
+    if policy == "grid":
+        policy = GridPolicy(fidelity)
+    elif policy == "knee":
+        policy = KneeBisectionPolicy(slo=slo, fidelity=fidelity)
+    elif policy == "promote":
+        policy = TopologyPromotionPolicy(slo=slo, fidelity=fidelity)
+    elif policy == "tiered":
+        policy = TieredFidelityPolicy(slo=slo)
+    elif isinstance(policy, str):
+        raise ExperimentError(
+            f"unknown planner policy {policy!r}; "
+            f"known: {', '.join(POLICY_NAMES)}")
+    elif getattr(policy, "fidelity", DES) != fidelity:
+        raise ExperimentError(
+            f"fidelity {fidelity!r} needs a policy built at that tier; "
+            f"policy {name!r} proposes at another")
     if budget is not None:
         policy = BudgetedExplorer(policy, budget)
     return policy

@@ -9,10 +9,12 @@ a benchmark so the parser is exercised even on programmatic campaigns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import MofError
 from repro.spec import catalog
+from repro.spec.mof.model import CimRepository
 from repro.spec.mof.parser import parse
 
 #: MOF source of the Elba schema.  Parsed, not hand-built, so the parser
@@ -122,9 +124,16 @@ class ResourceModel:
         return replace(package, **changes)
 
 
+@functools.lru_cache(maxsize=1)
+def _schema_classes():
+    return parse(ELBA_SCHEMA_MOF, source="elba-schema.mof").classes
+
+
 def schema_repository():
-    """A fresh repository pre-loaded with the Elba schema classes."""
-    return parse(ELBA_SCHEMA_MOF, source="elba-schema.mof")
+    """A fresh repository over the once-parsed Elba schema classes."""
+    repository = CimRepository()
+    repository.classes.update(_schema_classes())
+    return repository
 
 
 def load_resource_model(mof_text, source="<resource.mof>"):

@@ -8,7 +8,8 @@ The contracts under test:
   iteration it replaced, respects the operational-law bounds, is
   monotone in the population, and takes a bounded number of steps;
 - the knees and ``planner_decisions`` rows of one RUBiS and one RUBBoS
-  analytic knee exploration stay exactly as recorded;
+  analytic knee exploration, and of a tiered, an analytic promotion and
+  a budget-wrapped analytic knee exploration, stay exactly as recorded;
 - ``fidelity="analytic"`` campaigns are byte-stable across worker
   counts, and the default ``fidelity="des"`` path is untouched;
 - a tiered (``fidelity="auto"``) exploration finds the same knee as a
@@ -40,7 +41,7 @@ from repro.api import (
 )
 from repro.core.campaign import META_FIDELITY, ObservationCampaign
 from repro.errors import ExperimentError, SimulationError
-from repro.planner.policy import KNEE
+from repro.planner.policy import KNEE, NO_KNEE, PROMOTE, STOP
 from repro.sim import (
     ANALYTIC,
     AUTO,
@@ -345,6 +346,95 @@ class TestPinnedDecisions:
             "\n".join(map(repr, rows)).encode()).hexdigest()
         assert (knees, report.outcome.executed, len(rows),
                 digest) == PINNED_DECISIONS[family]
+
+
+#: Explorations whose planner logs are pinned beside the knee ones: a
+#: tiered (analytic exploration, DES confirmation), an analytic
+#: promotion walk, and a budget-wrapped analytic knee bisection whose
+#: budget runs out after two groups concluded.
+PINNED_TIERED_EXPLORATIONS = {
+    "tiered": (dict(policy=KNEE, fidelity=AUTO), """
+benchmark rubis; platform emulab;
+experiment "pinned-tiered" {
+    topology 1-1-1, 1-2-1;
+    workload 50 to 1000 step 50;
+    write_ratio 0%, 15%;
+    trial { warmup 1s; run 5s; cooldown 1s; }
+    slo { response_time 1.0s; error_ratio 10%; }
+}
+"""),
+    "promote": (dict(policy="promote", fidelity=ANALYTIC), """
+benchmark rubis; platform emulab;
+experiment "pinned-promote" {
+    topology 1-1-1, 1-2-1, 1-2-2, 1-4-2, 1-4-4;
+    workload 100 to 2000 step 100;
+    write_ratio 0%, 15%, 30%;
+}
+"""),
+    "budget": (dict(policy=KNEE, fidelity=ANALYTIC, budget=14), """
+benchmark rubis; platform emulab;
+experiment "pinned-budget" {
+    topology 1-1-1, 1-4-2;
+    workload 50 to 1000 step 50;
+    write_ratio 0%, 30%;
+}
+"""),
+}
+
+#: ``(concluding knee/no-knee/promote/stop decisions, trials executed,
+#: planner_decisions row count, sha256 of the rows' reprs)``, recorded
+#: before knee decisions were made at their tier instead of stamped.
+PINNED_TIERED_DECISIONS = {
+    "tiered": (
+        [("knee", "1-1-1", 0.0, 500), ("knee", "1-1-1", 0.15, 600),
+         ("knee", "1-2-1", 0.0, 850), ("no-knee", "1-2-1", 0.15, None)],
+        60, 120,
+        "a643463cecbfbd5c3f763f24b9e462c67e17b1dbd2f21468bb5d252e21dfb3f3",
+    ),
+    "promote": (
+        [("promote", "1-2-1", 0.0, 300), ("promote", "1-2-1", 0.15, 400),
+         ("promote", "1-2-1", 0.3, 400), ("promote", "1-4-2", 0.0, 600),
+         ("promote", "1-4-2", 0.15, 700), ("promote", "1-4-2", 0.3, 800),
+         ("stop", "1-4-2", 0.0, 1200), ("stop", "1-4-2", 0.15, 1300),
+         ("stop", "1-4-2", 0.3, 1600)],
+        47, 171,
+        "be8f85688415dd1f242e29496d2839b4c3885cd9e724c863425d6c19299fe07c",
+    ),
+    "budget": (
+        [("no-knee", "1-4-2", 0.0, None), ("no-knee", "1-4-2", 0.3, None)],
+        14, 53,
+        "34e40c8a822e03ddf8cf9ff0decb09e15b2fda640e9594770694d1fd8c03ee84",
+    ),
+}
+
+
+class TestPinnedTierDecisions:
+    """Where a decision's tier is set may change; the log may not."""
+
+    @pytest.mark.parametrize("family", sorted(PINNED_TIERED_EXPLORATIONS))
+    def test_conclusions_and_decisions_are_unchanged(self, family):
+        options, tbl = PINNED_TIERED_EXPLORATIONS[family]
+        report = run_adaptive(tbl, **options)
+        concluded = [(d.action, d.topology, d.write_ratio, d.workload)
+                     for d in report.outcome.decisions
+                     if d.action in (KNEE, NO_KNEE, PROMOTE, STOP)]
+        rows = report.database.dump_rows("planner_decisions")
+        digest = hashlib.sha256(
+            "\n".join(map(repr, rows)).encode()).hexdigest()
+        assert (concluded, report.outcome.executed, len(rows),
+                digest) == PINNED_TIERED_DECISIONS[family]
+
+    def test_budget_and_loop_notes_keep_their_tiers(self):
+        options, tbl = PINNED_TIERED_EXPLORATIONS["budget"]
+        report = run_adaptive(tbl, **options)
+        assert report.outcome.budget_exhausted
+        tiers = {d.action: d.fidelity for d in report.outcome.decisions}
+        assert tiers["budget-exhausted"] == ANALYTIC
+        assert tiers[NO_KNEE] == ANALYTIC
+        options, tbl = PINNED_TIERED_EXPLORATIONS["promote"]
+        report = run_adaptive(tbl, **options)
+        assert report.outcome.decisions[-1].action == "converged"
+        assert report.outcome.decisions[-1].fidelity == DES
 
 
 class TestFidelityCampaigns:

@@ -160,6 +160,28 @@ class TestElbaSchema:
         assert "Elba_Cluster" in repo.classes
         assert "Elba_TierAssignment" in repo.classes
 
+    def test_schema_repositories_share_no_state(self):
+        first, second = schema_repository(), schema_repository()
+        assert first.classes is not second.classes
+        parse('instance of Elba_Cluster { Name = "a"; Platform = "emulab"; };',
+              repository=first)
+        assert len(first.instances) == 1 and second.instances == []
+        first.classes.pop("Elba_Cluster")
+        assert "Elba_Cluster" in schema_repository().classes
+
+    def test_resource_models_share_no_instances(self):
+        mof = render_resource_mof("rubis", "emulab")
+        first, second = load_resource_model(mof), load_resource_model(mof)
+        assert first == second
+        assert first.tiers is not second.tiers
+        assert first.overrides is not second.overrides
+
+    def test_redeclaring_a_schema_class_still_raises(self):
+        mof = "class Elba_Cluster { string Name; };"
+        with pytest.raises(MofError,
+                           match="duplicate class declaration 'Elba_Cluster'"):
+            load_resource_model(mof)
+
     def test_render_and_load_rubis_emulab(self):
         mof = render_resource_mof("rubis", "emulab")
         model = load_resource_model(mof)

@@ -8,10 +8,18 @@ The contracts under test:
 - an adaptive exploration only ever runs points of the declared grid;
 - a killed exploration resumes to the same database as an
   uninterrupted one;
-- GridPolicy reproduces today's exhaustive campaign exactly.
+- GridPolicy reproduces today's exhaustive campaign exactly;
+- the ladder-indexed knee policy, creating each decision at its tier,
+  decides exactly what the full-rescan bisection stamped afterwards
+  decided, on random ladders and verdicts.
 """
 
+import dataclasses
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import plan_campaign, resume_campaign, run_adaptive
 from repro.core.campaign import (
@@ -38,7 +46,9 @@ from repro.planner.policy import (
     NO_KNEE,
     PROMOTE,
     STOP,
+    Policy,
 )
+from repro.sim import ANALYTIC, DES
 from repro.spec.tbl import parse as parse_tbl
 
 # One topology, an 8-rung workload ladder with its SLO knee at u=200:
@@ -402,3 +412,207 @@ class TestTraceReportSections:
         campaign.run()
         report = render_trace_report(campaign.database)
         assert "Planner decisions" not in report
+
+
+class _RescanKnee(Policy):
+    """The knee bisection before the frontier indexed its ladders: every
+    round rebuilds each open group's points and re-judges every
+    measured rung, and every decision is created at the DES tier."""
+
+    name = "knee"
+
+    def __init__(self, violated):
+        self.violated = violated
+        self._concluded = set()
+
+    def propose(self, frontier):
+        decisions = []
+        for topology, write_ratio in frontier.groups():
+            group_id = (topology.label(), round(write_ratio, 6))
+            if group_id not in self._concluded:
+                decisions.extend(self._group(frontier, topology,
+                                             write_ratio, group_id))
+        return decisions
+
+    def _group(self, frontier, topology, write_ratio, group_id):
+        workloads = frontier.workloads()
+        points = [frontier.point(topology, w, write_ratio)
+                  for w in workloads]
+        verdicts = {}
+        for index, point in enumerate(points):
+            result = frontier.result_at(point)
+            if result is not None:
+                verdicts[index] = self.violated(result)
+        last = len(workloads) - 1
+        proposals = []
+        if 0 not in verdicts and not frontier.is_pruned(points[0]):
+            proposals.append(Decision.measure(
+                points[0], "bisection endpoint (lightest workload)"))
+        if last != 0 and last not in verdicts \
+                and not frontier.is_pruned(points[last]):
+            proposals.append(Decision.measure(
+                points[last], "bisection endpoint (heaviest workload)"))
+        if proposals:
+            return proposals
+        highest_pass = max(
+            (i for i, violated in verdicts.items() if not violated),
+            default=-1)
+        lowest_violation = min(
+            (i for i, violated in verdicts.items() if violated),
+            default=len(workloads))
+        if lowest_violation - highest_pass > 1:
+            mid = (highest_pass + lowest_violation) // 2
+            bracket = (workloads[max(highest_pass, 0)],
+                       workloads[min(lowest_violation, last)])
+            return [Decision.measure(
+                points[mid], f"bisect bracket {bracket[0]}..{bracket[1]}")]
+        decisions = []
+        for index, point in enumerate(points):
+            if index in verdicts or frontier.is_pruned(point):
+                continue
+            if index <= highest_pass:
+                reason = (f"inferred in-SLO (below measured pass at "
+                          f"u={workloads[highest_pass]})")
+            else:
+                reason = (f"inferred SLO-violating (above measured "
+                          f"violation at u={workloads[lowest_violation]})")
+            decisions.append(Decision.prune(point, reason))
+        label = topology.label()
+        if lowest_violation <= last:
+            knee = workloads[lowest_violation]
+            decisions.append(Decision.note(
+                KNEE,
+                f"SLO knee at u={knee} on {label} "
+                f"(largest in-SLO workload: "
+                f"{workloads[highest_pass] if highest_pass >= 0 else 'none'})",
+                topology=label, workload=knee, write_ratio=write_ratio))
+        else:
+            decisions.append(Decision.note(
+                NO_KNEE,
+                f"no SLO violation up to u={workloads[last]} on {label}",
+                topology=label, workload=None, write_ratio=write_ratio))
+        self._concluded.add(group_id)
+        return decisions
+
+
+class _RescanBudget(Policy):
+    """The trial budget as it wrapped the rescanning policy."""
+
+    name = "knee"
+
+    def __init__(self, policy, budget):
+        self.policy = policy
+        self.budget = budget
+        self._spent = 0
+        self._exhausted = False
+
+    def propose(self, frontier):
+        if self._exhausted:
+            return []
+        kept = []
+        deferred = 0
+        for decision in self.policy.propose(frontier):
+            if decision.action != MEASURE:
+                kept.append(decision)
+            elif self._spent + 1 > self.budget:
+                deferred += 1
+            else:
+                self._spent += 1
+                kept.append(decision)
+        if deferred:
+            kept.append(Decision.note(
+                BUDGET_EXHAUSTED,
+                f"trial budget {self.budget} exhausted after "
+                f"{self._spent} trial(s); {deferred} proposed point(s) "
+                f"deferred"))
+            self._exhausted = True
+        return kept
+
+
+class _Stamped(Policy):
+    """Every decision copied into the analytic tier after the fact."""
+
+    name = "knee"
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def propose(self, frontier):
+        return [dataclasses.replace(decision, fidelity=ANALYTIC)
+                for decision in self.policy.propose(frontier)]
+
+
+class _Observed:
+    """A fake trial result carrying its SLO verdict."""
+
+    def __init__(self, violated):
+        self.violated = violated
+
+
+@st.composite
+def _explorations(draw):
+    workloads = draw(st.lists(st.integers(1, 100_000), min_size=1,
+                              max_size=100, unique=True))
+    topologies = draw(st.lists(st.sampled_from(["1-1-1", "1-2-1", "1-2-2"]),
+                               min_size=1, max_size=3, unique=True))
+    ratios = draw(st.lists(st.sampled_from(["0%", "15%", "30%"]),
+                           min_size=1, max_size=2, unique=True))
+    verdicts = {}
+    for topology in topologies:
+        for ratio in ratios:
+            if draw(st.booleans()):          # a monotone curve
+                knee = draw(st.integers(0, len(workloads)))
+                ladder = sorted(workloads)
+                for rung, workload in enumerate(ladder):
+                    verdicts[topology, workload, ratio] = rung >= knee
+            else:
+                for workload in workloads:
+                    verdicts[topology, workload, ratio] = \
+                        draw(st.booleans())
+    budget = draw(st.none() | st.integers(1, len(verdicts)))
+    tbl = (f'benchmark rubis; platform emulab;\n'
+           f'experiment "random" {{\n'
+           f'    topology {", ".join(topologies)};\n'
+           f'    workload {", ".join(map(str, workloads))};\n'
+           f'    write_ratio {", ".join(ratios)};\n'
+           f'}}\n')
+    return tbl, verdicts, budget
+
+
+class TestKneeMatchesFullRescan:
+    @settings(max_examples=60, deadline=None)
+    @given(exploration=_explorations(),
+           fidelity=st.sampled_from([DES, ANALYTIC]))
+    def test_same_decisions_as_the_rescanning_bisection(self, exploration,
+                                                        fidelity):
+        tbl, verdicts, budget = exploration
+        experiment = experiment_of(tbl)
+
+        def execute(tasks):
+            return [_Observed(verdicts[
+                task.topology.label(), task.workload,
+                f"{round(task.write_ratio * 100)}%"]) for task in tasks]
+
+        def explore(policy):
+            outcome = AdaptivePlanner(experiment, policy).run(execute)
+            return outcome.decisions, outcome.executed
+
+        judged = []
+
+        def violated(result, slo):
+            judged.append(result)
+            return result.violated
+
+        with mock.patch("repro.planner.policy.slo_violated", violated):
+            new = explore(make_policy("knee", budget=budget,
+                                      fidelity=fidelity))
+        reference = _RescanKnee(lambda result: result.violated)
+        if budget is not None:
+            reference = _RescanBudget(reference, budget)
+        if fidelity == ANALYTIC:
+            reference = _Stamped(reference)
+        assert new == explore(reference)
+        assert all(d.fidelity == fidelity for d in new[0]
+                   if d.action != "converged")
+        # Each observed result is judged once.
+        assert len(judged) == len({id(r) for r in judged}) <= new[1]

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from repro import api
+from repro import api, hotpath
 from repro.errors import CampaignCancelled, ServiceBusy, ServiceError
 from repro.results.database import ResultsDatabase, merge_shards, shard_path
 from repro.service import (
@@ -499,6 +499,32 @@ class TestHttpService:
         database = ResultsDatabase(db)
         assert database.count() > 0
         database.close()
+
+    def test_finished_campaigns_leave_no_tenant_counters(self, tmp_path):
+        def tenant_keys():
+            return sum(len(cache._tenant_hits) + len(cache._tenant_misses)
+                       for cache in hotpath._caches.values())
+
+        daemon = ServiceDaemon(port=0, jobs=1, max_active=1)
+        client = CampaignClient(daemon.start())
+        keys, totals = [], []
+        try:
+            for n in range(4):
+                campaign_id = client.submit(
+                    TBL_A, db_path=str(tmp_path / f"t{n}.db"))
+                record = client.wait(campaign_id, timeout=120)
+                assert record["state"] == "done", record["error"]
+                assert any(c["hits"] or c["misses"]
+                           for c in record["cache_stats"].values())
+                keys.append(tenant_keys())
+                totals.append(sum(c["hits"] + c["misses"]
+                                  for c in hotpath.stats().values()))
+        finally:
+            client.shutdown()
+            daemon.stop()
+        assert keys == [keys[0]] * len(keys)
+        # Plane-wide totals still count every campaign's lookups.
+        assert totals == sorted(totals) and totals[-1] > totals[0]
 
     def test_unreachable_daemon_raises_service_error(self):
         client = CampaignClient("http://127.0.0.1:9", timeout=2)
