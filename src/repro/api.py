@@ -57,14 +57,7 @@ def run_experiment(tbl_text, *, experiment=None, mof_text=None,
 
     campaign = ObservationCampaign(tbl_text, mof_text=mof_text,
                                    node_count=node_count, tracer=tracer)
-    names = [e.name for e in campaign.spec.experiments]
-    if experiment is None:
-        if len(names) != 1:
-            raise ExperimentError(
-                f"spec defines {len(names)} experiments "
-                f"({', '.join(names)}); pass experiment=<name>"
-            )
-        experiment = names[0]
+    experiment = campaign.spec.experiment(experiment).name
     results = []
 
     def collect(result):
@@ -226,18 +219,9 @@ def plan_campaign(tbl_text, *, policy="knee", budget=None, experiment=None,
 
     check_fidelity(fidelity)
     spec = parse_tbl(tbl_text, source=tbl_source)
-    if experiment is not None:
-        chosen = spec.experiment(experiment)
-    elif len(spec.experiments) == 1:
-        chosen = spec.experiments[0]
-    else:
-        names = ", ".join(e.name for e in spec.experiments)
-        raise ExperimentError(
-            f"spec defines {len(spec.experiments)} experiments "
-            f"({names}); pass experiment=<name>"
-        )
-    return plan_preview(chosen, make_policy(policy, budget=budget,
-                                            fidelity=fidelity))
+    return plan_preview(spec.experiment(experiment),
+                        make_policy(policy, budget=budget,
+                                    fidelity=fidelity))
 
 
 def reproduce_figure(figure_id, *, scale=None, jobs=1, tracer=None,

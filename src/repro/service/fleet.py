@@ -1,8 +1,8 @@
 """The shared worker fleet: one pool, many campaigns, fair shares.
 
 A :class:`WorkerFleet` owns one persistent
-:class:`~repro.experiments.scheduler.SchedulerSession` of thread
-workers and multiplexes every attached campaign's trial tasks over it.
+:class:`~repro.experiments.scheduler.TrialScheduler` of thread workers
+and multiplexes every attached campaign's trial tasks over it.
 The dispatcher enforces the service plane's scheduling invariants:
 
 - **round-robin fair share** — each dispatch sweep admits at most one
@@ -106,13 +106,11 @@ class WorkerFleet:
         # workers absorbs any tenant's exploration round.
         self.fast_jobs = max(2, min(4, jobs))
         self.tracer = as_tracer(tracer)
-        self._scheduler = TrialScheduler(_no_default_runner, jobs=jobs,
-                                         backend=THREAD, tracer=tracer)
-        self._session = self._scheduler.session()
-        self._fast_scheduler = TrialScheduler(
+        self._pool = TrialScheduler(_no_default_runner, jobs=jobs,
+                                    backend=THREAD, tracer=tracer)
+        self._fast_pool = TrialScheduler(
             _no_default_runner, jobs=self.fast_jobs, backend=THREAD,
             tracer=tracer)
-        self._fast_session = self._fast_scheduler.session()
         self._cond = threading.Condition()
         self._queues = {}            # campaign_id -> _TenantQueue
         self._in_flight = 0          # main-lane admitted tasks
@@ -149,8 +147,8 @@ class WorkerFleet:
         with self._cond:
             queue = self._queues.pop(campaign_id, None)
         if queue is not None:
-            self._session.forget_tenant(campaign_id)
-            self._fast_session.forget_tenant(campaign_id)
+            self._pool.forget_tenant(campaign_id)
+            self._fast_pool.forget_tenant(campaign_id)
 
     def cancel(self, campaign_id):
         """Drop the campaign's queued tasks; in-flight trials finish
@@ -250,8 +248,8 @@ class WorkerFleet:
                 self._in_flight += 1
             self._dispatched += 1
             admitted += 1
-            session = self._fast_session if fast else self._session
-            session.submit(
+            pool = self._fast_pool if fast else self._pool
+            pool.submit(
                 task, tenant=queue.campaign_id,
                 runner_factory=queue.runner_factory,
                 on_done=lambda future, q=queue, s=seq, f=fast:
@@ -333,8 +331,8 @@ class WorkerFleet:
                 queue.pending.clear()
             self._cond.notify_all()
         self._dispatcher.join(timeout=5)
-        self._session.close()
-        self._fast_session.close()
+        self._pool.close()
+        self._fast_pool.close()
 
 
 def _no_default_runner():

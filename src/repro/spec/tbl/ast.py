@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TblError
+from repro.errors import ExperimentError, TblError
 from repro.workloads.arrivals import ArrivalSpec
 
 #: Trial timing defaults per benchmark, from Section III.B.
@@ -190,7 +190,17 @@ class TestbedSpec:
         if not self.experiments:
             raise TblError("testbed spec declares no experiments")
 
-    def experiment(self, name):
+    def experiment(self, name=None):
+        """The experiment named *name*; without a name, the spec's only
+        experiment — a spec declaring several must be told which."""
+        if name is None:
+            if len(self.experiments) == 1:
+                return self.experiments[0]
+            names = ", ".join(e.name for e in self.experiments)
+            raise ExperimentError(
+                f"spec declares {len(self.experiments)} experiments "
+                f"({names}); pick one by name"
+            )
         for experiment in self.experiments:
             if experiment.name == name:
                 return experiment

@@ -347,8 +347,8 @@ class TestProcessFallback:
         tasks = enumerate_tasks(parse_tbl(SWEEP_TBL).experiments[0])
         scheduler = TrialScheduler(FallbackRunner, jobs=2,
                                    backend="process")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            results = scheduler.run(tasks)
+        with scheduler, pytest.warns(RuntimeWarning, match="falling back"):
+            results = scheduler.run_tasks(tasks)
         assert [r["index"] for r in results] == [t.index for t in tasks]
         assert all(callable(r["callback"]) for r in results)
 

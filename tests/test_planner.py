@@ -21,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import plan_campaign, resume_campaign, run_adaptive
+from repro.api import (
+    plan_campaign,
+    resume_campaign,
+    run_adaptive,
+    run_experiment,
+)
 from repro.core.campaign import (
     META_PLANNER_EXPERIMENT,
     META_PLANNER_POLICY,
@@ -331,6 +336,15 @@ class TestResumeAdaptive:
         assert observation_dump(campaign.database)["trials"] != []
 
 
+TWO_EXPERIMENT_TBL = """
+benchmark rubis; platform emulab;
+experiment "a" { topology 1-1-1; workload 100; write_ratio 15%;
+    trial { warmup 1s; run 5s; cooldown 1s; } }
+experiment "b" { topology 1-1-1; workload 100; write_ratio 15%;
+    trial { warmup 1s; run 5s; cooldown 1s; } }
+"""
+
+
 class TestAdaptiveApi:
     def test_run_adaptive_facade(self):
         report = run_adaptive(KNEE_TBL, policy="knee", node_count=8)
@@ -345,17 +359,35 @@ class TestAdaptiveApi:
         assert "bisection endpoint" in preview.describe()
 
     def test_multi_experiment_spec_needs_a_name(self):
-        tbl = """
-        benchmark rubis; platform emulab;
-        experiment "a" { topology 1-1-1; workload 100; write_ratio 15%;
-            trial { warmup 1s; run 5s; cooldown 1s; } }
-        experiment "b" { topology 1-1-1; workload 100; write_ratio 15%;
-            trial { warmup 1s; run 5s; cooldown 1s; } }
-        """
-        with pytest.raises(ExperimentError, match="targets one"):
-            run_adaptive(tbl, node_count=8)
-        report = run_adaptive(tbl, experiment="b", node_count=8)
+        with pytest.raises(ExperimentError, match="pick one by name"):
+            run_adaptive(TWO_EXPERIMENT_TBL, node_count=8)
+        report = run_adaptive(TWO_EXPERIMENT_TBL, experiment="b",
+                              node_count=8)
         assert report.experiments == ["b"]
+
+    #: Each entry point, and how to read back the experiment it chose.
+    ONE_EXPERIMENT_ENTRIES = {
+        "run_experiment": (
+            lambda **kw: run_experiment(TWO_EXPERIMENT_TBL, node_count=8,
+                                        **kw),
+            lambda results: {r.experiment_name for r in results}),
+        "plan_campaign": (
+            lambda **kw: plan_campaign(TWO_EXPERIMENT_TBL, **kw),
+            lambda preview: {preview.experiment_name}),
+        "run_adaptive": (
+            lambda **kw: run_adaptive(TWO_EXPERIMENT_TBL, node_count=8,
+                                      **kw),
+            lambda report: set(report.experiments)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ONE_EXPERIMENT_ENTRIES))
+    def test_one_experiment_rule_is_stated_once(self, entry):
+        call, chosen = self.ONE_EXPERIMENT_ENTRIES[entry]
+        with pytest.raises(ExperimentError) as refused:
+            call()
+        assert str(refused.value) == (
+            "spec declares 2 experiments (a, b); pick one by name")
+        assert chosen(call(experiment="b")) == {"b"}
 
 
 class TestPlannerLoopContract:

@@ -6,7 +6,9 @@ shared substrate (cluster allocator, results database) must survive
 concurrent use without corruption.
 """
 
+import contextlib
 import dataclasses
+import multiprocessing
 import threading
 import time
 
@@ -16,8 +18,13 @@ from repro.core import ObservationCampaign
 from repro.errors import AllocationError, ExperimentError, ResultsError
 from repro.experiments import build_experiment
 from repro.experiments.figures import make_runner
-from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
+from repro.experiments.scheduler import (
+    TrialScheduler,
+    enumerate_tasks,
+    executor_for,
+)
 from repro.results import ResultsDatabase
+from repro.service.fleet import WorkerFleet
 from repro.spec.topology import Topology
 from repro.vcluster import VirtualCluster
 from tests.test_results import make_result
@@ -151,6 +158,101 @@ class TestTrialScheduler:
         runner = make_runner("emulab", "rubis", node_count=6)
         with pytest.raises(AllocationError):
             runner.run_experiment(experiment, jobs=2, backend="thread")
+
+
+@contextlib.contextmanager
+def _fleet_lease(runner):
+    fleet = WorkerFleet(jobs=2)
+    lease = fleet.attach("protocol", runner.clone, ceiling=2)
+    try:
+        yield lease
+    finally:
+        lease.close()
+        fleet.close()
+
+
+#: Every implementation of the executor protocol, built over a runner.
+_EXECUTORS = {
+    "runner": contextlib.nullcontext,
+    "thread-pool": lambda runner: TrialScheduler(
+        runner.clone, jobs=2, backend="thread"),
+    "process-pool": lambda runner: TrialScheduler(
+        runner.clone, jobs=2, backend="process"),
+    "fleet-lease": _fleet_lease,
+}
+
+
+class _Echo:
+    """A runner stand-in whose trials return their task."""
+
+    def run_task(self, task):
+        return task
+
+
+class TestExecutorProtocol:
+    """``run_tasks(tasks, on_result)`` means one thing everywhere:
+    results in task order, *on_result* fired in task order."""
+
+    @pytest.mark.parametrize("name", sorted(_EXECUTORS))
+    def test_every_executor_delivers_the_same_results(self, name):
+        if name == "process-pool" and \
+                "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("process backend needs fork")
+        # Descending-then-ascending load, so pooled completions arrive
+        # out of task order and must be buffered back into it.
+        tasks = enumerate_tasks(_experiment(workloads=(250, 100, 180)))
+        reference = make_runner("emulab", "rubis", node_count=10)
+        expected = [reference.run_task(task) for task in tasks]
+        runner = make_runner("emulab", "rubis", node_count=10)
+        seen = []
+        with _EXECUTORS[name](runner) as executor:
+            results = executor.run_tasks(tasks, seen.append)
+        assert _fingerprint(results) == _fingerprint(expected)
+        assert _fingerprint(seen) == _fingerprint(expected)
+
+    def test_executor_for_decides_jobs_once(self):
+        runner = make_runner("emulab", "rubis", node_count=10)
+        with executor_for(runner, jobs=1) as executor:
+            assert executor is runner
+        with executor_for(runner, jobs=2, backend="thread") as executor:
+            assert isinstance(executor, TrialScheduler)
+            assert executor.jobs == 2
+        with pytest.raises(ExperimentError, match="closed"):
+            executor.run_tasks([])
+        # Known work caps the pool: a lone task starts no pool.
+        for work in (0, 1):
+            with executor_for(runner, jobs=4, work=work) as executor:
+                assert executor is runner
+        with executor_for(runner, jobs=4, backend="thread",
+                          work=3) as executor:
+            assert executor.jobs == 3
+        with pytest.raises(ExperimentError, match="at least 1"):
+            with executor_for(runner, jobs=0, work=5):
+                pass
+
+    def test_pool_builds_each_worker_runner_once(self):
+        built = []
+        lock = threading.Lock()
+
+        def factory():
+            with lock:
+                built.append(1)
+            return _Echo()
+
+        with TrialScheduler(factory, jobs=2, backend="thread") as pool:
+            for batch in ([0, 1, 2], [3, 4], [5, 6, 7, 8]):
+                assert pool.run_tasks(batch) == batch
+        assert 1 <= len(built) <= 2
+
+    def test_closed_pool_refuses_work(self):
+        pool = TrialScheduler(_Echo, jobs=2, backend="thread")
+        assert pool.run_tasks([1]) == [1]
+        pool.close()
+        pool.close()                    # idempotent
+        with pytest.raises(ExperimentError, match="closed"):
+            pool.run_tasks([2])
+        with pytest.raises(ExperimentError, match="closed"):
+            pool.submit(3)
 
 
 class TestCampaignParallelEquivalence:
