@@ -10,8 +10,9 @@ The acceptance claims of the planner plane, measured end to end on a
 - a killed adaptive exploration completes via ``resume_campaign`` to
   the same database as an uninterrupted run.
 
-The wall-clock/trial-count report lands in
-``benchmarks/output/planner_adaptive.txt``.
+The trial-count report lands in
+``benchmarks/output/planner_adaptive.txt``; wall-clock seconds are
+printed only, so a run leaves the committed file unchanged.
 """
 
 import pathlib
@@ -123,17 +124,21 @@ def test_bench_planner_adaptive():
     assert resumed.skipped == 2
     assert _dump(killed.database) == _dump(adaptive.database)
 
-    report_text = (
+    # The committed file holds only what the code determines (trials,
+    # savings, rounds, finding); wall-clock seconds vary run to run,
+    # so they appear in the printed report alone.
+    summary = (
         f"Adaptive planner benchmark: 1-1-1 x 16-rung ladder "
         f"(SLO knee at u={grid_knee})\n"
-        f"  grid      {grid_trials:3d} trials  {grid_s:6.1f} s wall-clock\n"
-        f"  knee      {outcome.executed:3d} trials  {adaptive_s:6.1f} s "
-        f"wall-clock  ({outcome.savings_ratio():.0%} trials saved)\n"
+        f"  grid      {grid_trials:3d} trials\n"
+        f"  knee      {outcome.executed:3d} trials  "
+        f"({outcome.savings_ratio():.0%} trials saved)\n"
         f"  rounds    {outcome.rounds}\n"
         f"  finding   {knees[0].reason}\n"
         f"  invariant jobs=4 and resumed runs byte-identical to jobs=1\n"
     )
     OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "planner_adaptive.txt").write_text(report_text)
+    (OUTPUT_DIR / "planner_adaptive.txt").write_text(summary)
     print()
-    print(report_text)
+    print(summary + f"  wall-clock grid {grid_s:.1f} s, "
+                    f"knee {adaptive_s:.1f} s\n")

@@ -116,29 +116,12 @@ def resume_campaign(database, *, jobs=1, backend=None, tracer=None,
     skipped; an interrupted exploration replays its planner loop and
     runs only the missing trials.  Returns the :class:`CampaignReport`.
     """
-    from repro.core.campaign import (
-        META_FIDELITY,
-        META_PLANNER_BUDGET,
-        META_PLANNER_EXPERIMENT,
-        META_PLANNER_POLICY,
-        ObservationCampaign,
-    )
+    from repro.core.campaign import ObservationCampaign
 
     database = open_results(database, create=False)
     campaign = ObservationCampaign.from_database(database, tracer=tracer)
-    fidelity = database.get_meta(META_FIDELITY, DES)
-    policy = database.get_meta(META_PLANNER_POLICY)
-    if policy is not None:
-        budget = database.get_meta(META_PLANNER_BUDGET)
-        return campaign.run_adaptive(
-            policy,
-            experiment_name=database.get_meta(META_PLANNER_EXPERIMENT),
-            budget=int(budget) if budget is not None else None,
-            jobs=jobs, backend=backend, on_result=on_result,
-            on_progress=on_progress, resume=True, fidelity=fidelity)
-    return campaign.run(on_result=on_result, jobs=jobs, backend=backend,
-                        on_progress=on_progress, resume=True,
-                        fidelity=fidelity)
+    return campaign.resume(jobs=jobs, backend=backend, on_result=on_result,
+                           on_progress=on_progress)
 
 
 def heal_campaign(database, *, jobs=1, budget=None, rounds=None,

@@ -196,7 +196,7 @@ def build_parser():
                         help="virtual cluster size (default 36)")
     submit.add_argument("--resume", action="store_true",
                         help="continue from the campaign's checkpoint "
-                             "(shard or merged database) at --db")
+                             "(shard or published database) at --db")
     submit.add_argument("--wait", action="store_true",
                         help="block until the campaign settles and "
                              "print its summary")

@@ -636,6 +636,34 @@ class ObservationCampaign:
                               wall_s=time.perf_counter() - started)
         return report
 
+    def resume(self, experiment_names=None, *, policy=None, budget=None,
+               experiment=None, fidelity=None, **run_kwargs):
+        """Finish this campaign from its database checkpoint — the one
+        resume rule behind ``repro resume <db>`` and the daemon's.
+
+        Whatever the caller leaves unset comes from ``campaign_meta``:
+        the fidelity tier and, for an exploration, the planner *policy*,
+        *budget* and target *experiment*.  With a policy it resumes
+        :meth:`run_adaptive`, otherwise :meth:`run` over
+        *experiment_names*; *run_kwargs* pass through.
+        """
+        db = self.database
+        if fidelity is None:
+            fidelity = db.get_meta(META_FIDELITY, DES)
+        if policy is None:
+            policy = db.get_meta(META_PLANNER_POLICY)
+        if policy is None:
+            return self.run(experiment_names, resume=True,
+                            fidelity=fidelity, **run_kwargs)
+        if budget is None:
+            stored = db.get_meta(META_PLANNER_BUDGET)
+            budget = int(stored) if stored is not None else None
+        if experiment is None:
+            experiment = db.get_meta(META_PLANNER_EXPERIMENT)
+        return self.run_adaptive(policy, experiment_name=experiment,
+                                 budget=budget, resume=True,
+                                 fidelity=fidelity, **run_kwargs)
+
     @classmethod
     def from_database(cls, database, *, tracer=None, tenant=None):
         """Rebuild a campaign from a database's persisted meta — the

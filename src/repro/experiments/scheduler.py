@@ -147,8 +147,9 @@ class TrialScheduler:
     """A pool of ``jobs`` workers executing :class:`TrialTask`\\ s.
 
     *runner_factory* builds one ExperimentRunner (with its own
-    VirtualCluster) per worker.  The pool — and each worker's runner,
-    with its cluster — starts lazily on the first task and persists
+    VirtualCluster) per concurrently running task, at most one per
+    worker.  The pool — and the runners, with their clusters — starts
+    lazily on the first task and persists
     until :meth:`close` (or the end of a ``with`` block), so a caller
     feeding successive batches (the adaptive planner's rounds) pays
     worker start-up once, not once per batch.
@@ -180,7 +181,7 @@ class TrialScheduler:
         self.backend = backend or default_backend()
         self.tracer = as_tracer(tracer)
         self._pool = None
-        self._runners = {}           # (tenant, thread id) -> runner
+        self._runners = {}           # tenant -> its idle runners
         self._runners_lock = threading.Lock()
         self._closed = False
 
@@ -232,9 +233,9 @@ class TrialScheduler:
 
         The fleet plane's entry point: unlike :meth:`run_tasks`, which
         blocks until a whole batch is delivered, ``submit`` hands a
-        single task to the live pool and returns immediately, so a
-        dispatcher can interleave tasks from many campaigns on one set
-        of workers.  *tenant* keys the worker-side runner cache (and
+        single task to the live pool and returns immediately, so the
+        fleet can interleave tasks from many campaigns on one set of
+        workers.  *tenant* keys the worker-side runner cache (and
         scopes hot-path cache attribution to the campaign);
         *runner_factory* builds that tenant's runner on first use.
         Thread workers only — the fleet owns ordering, so the process
@@ -259,9 +260,7 @@ class TrialScheduler:
         daemon holds no runner for a finished campaign.
         """
         with self._runners_lock:
-            for slot in [slot for slot in self._runners
-                         if slot[0] == tenant]:
-                del self._runners[slot]
+            self._runners.pop(tenant, None)
 
     # -- backends ---------------------------------------------------------
 
@@ -273,19 +272,17 @@ class TrialScheduler:
     def _thread_run(self, task, tenant, runner_factory):
         """Execute one task on the calling pool thread.
 
-        Each worker thread keeps one runner *per tenant* — a shared
-        fleet pool multiplexes many campaigns over the same threads,
-        and each campaign's trials must run on that campaign's cluster.
-        The single-campaign path is just the ``tenant=None`` slot.  A
-        runner is only ever used by the thread it was built for.
+        The task checks out an idle runner of its *tenant* (building
+        one if none is idle) and returns it when done: a shared fleet
+        pool runs many campaigns, each on its own cluster, and a tenant
+        holds as many runners as it ever had tasks running at once.
+        The single-campaign path is the ``tenant=None`` slot.
         """
-        slot = (tenant, threading.get_ident())
         with self._runners_lock:
-            runner = self._runners.get(slot)
+            idle = self._runners.setdefault(tenant, [])
+            runner = idle.pop() if idle else None
         if runner is None:
             runner = (runner_factory or self.runner_factory)()
-            with self._runners_lock:
-                self._runners[slot] = runner
         self.tracer.count("scheduler.tasks_running", 1)
         try:
             if tenant is None:
@@ -294,6 +291,8 @@ class TrialScheduler:
                 return runner.run_task(task)
         finally:
             self.tracer.count("scheduler.tasks_running", -1)
+            with self._runners_lock:
+                idle.append(runner)
 
     def _thread_batch(self, tasks, on_result):
         pool = self._thread_pool()

@@ -37,6 +37,9 @@ import time
 #: Card layout version, bumped on any incompatible shape change.
 RUN_CARD_VERSION = 1
 
+#: The exported card's file name is the database's plus this suffix.
+RUN_CARD_SUFFIX = ".run_card.json"
+
 #: Tables whose digests certify the run's observable output — the same
 #: five surfaces the engine/cache identity benchmarks byte-compare.
 DIGEST_TABLES = ("trials", "host_cpu", "state_metrics", "spans",
@@ -134,7 +137,7 @@ def export_run_card(card, database_path):
     """
     if database_path in (None, ":memory:"):
         return None
-    path = pathlib.Path(str(database_path) + ".run_card.json")
+    path = pathlib.Path(str(database_path) + RUN_CARD_SUFFIX)
     path.write_text(canonical_json(card) + "\n")
     return path
 

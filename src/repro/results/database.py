@@ -863,8 +863,9 @@ def shard_path(db_path):
     The shard sits next to the campaign's final database so a killed
     daemon leaves its checkpoint where a ``resume`` submit will look
     for it — derivable from the final path alone, with no knowledge of
-    the campaign id the old daemon assigned; :func:`merge_shards`
-    turns it into the final database.
+    the campaign id the old daemon assigned.  A finished, verified
+    shard is renamed onto the final path; it already is the final
+    database.
     """
     return f"{db_path}.shard"
 
@@ -879,7 +880,10 @@ def merge_shards(shards, destination, *, namespace_meta=None):
     them — so merging one campaign's single shard into a fresh
     destination produces tables byte-identical to the campaign having
     written the destination directly, and :meth:`ResultsDatabase.
-    integrity_check` holds on the merged file by construction.
+    integrity_check` holds on the merged file by construction.  The
+    daemon uses that single-shard form to seed a resume's shard from
+    an already published database; it publishes a finished shard by
+    rename, not by merge.
 
     Merging *several* campaigns into one combined database namespaces
     their ``campaign_meta`` keys (``<label>:<key>``) and offsets each

@@ -7,17 +7,18 @@ that accepts submit/status/cancel/resume requests over a local HTTP
 API and executes every accepted campaign on one shared
 :class:`WorkerFleet`:
 
-- **fair-share scheduling**: the fleet dispatcher round-robins over
-  the attached campaigns' task queues, honouring each campaign's
-  ``jobs`` ceiling and the fleet-wide worker count, with admission
-  backpressure when the controller's queue is full;
+- **fair-share scheduling**: the fleet admits work round-robin over
+  the attached campaigns' task queues whenever a batch is enqueued or
+  a task completes, honouring each campaign's ``jobs`` ceiling and the
+  fleet-wide worker count, with admission backpressure when the
+  controller's queue is full;
 - **tenant-shared caches**: the hot-path caching plane is shared by
   every campaign, with per-campaign hit/miss attribution
   (``hotpath.stats(tenant=...)``);
 - **sharded results**: each campaign's write-behind ingest lands in
-  its own shard database, feeding a :class:`StreamingAggregator`;
-  :func:`repro.results.merge_shards` turns shards into final
-  databases byte-identical to a sequential CLI run's.
+  its own shard database, feeding a :class:`StreamingAggregator`; a
+  finished, verified shard is renamed onto the campaign's final path,
+  byte-identical to a sequential CLI run's database.
 
 The DiPerF-style controller/tester split, applied to observation
 campaigns: the controller coordinates, the fleet measures.

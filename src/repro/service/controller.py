@@ -4,9 +4,9 @@ A :class:`CampaignController` is the daemon's brain.  It accepts
 campaign submissions (fixed-grid or adaptive), runs each accepted
 campaign on the shared :class:`~repro.service.fleet.WorkerFleet` under
 its own tenant id, lands every campaign's rows in a private shard
-database, and — on completion — merges the shard into the campaign's
-final database, byte-identical to what a sequential CLI run of the same
-spec would have produced.
+database, and — on completion — verifies the shard and publishes it by
+rename as the campaign's final database, byte-identical to what a
+sequential CLI run of the same spec would have produced.
 
 Lifecycle of one campaign::
 
@@ -28,14 +28,7 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.core.campaign import (
-    META_FIDELITY,
-    META_PLANNER_BUDGET,
-    META_PLANNER_EXPERIMENT,
-    META_PLANNER_POLICY,
-    META_TBL,
-    ObservationCampaign,
-)
+from repro.core.campaign import META_TBL, ObservationCampaign
 from repro.errors import (
     CampaignCancelled,
     ResultsError,
@@ -43,6 +36,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs.tracer import as_tracer
+from repro.provenance import RUN_CARD_SUFFIX
 from repro.results.database import ResultsDatabase, merge_shards, shard_path
 from repro.service.aggregate import StreamingAggregator
 from repro.service.fleet import WorkerFleet
@@ -82,7 +76,7 @@ class CampaignRecord:
         sub = self.submission
         return {
             "id": self.campaign_id,
-            "kind": sub.get("kind", "campaign"),
+            "kind": sub["kind"],
             "state": self.state,
             "db_path": sub["db_path"],
             "jobs": sub["jobs"],
@@ -133,8 +127,8 @@ class CampaignController:
         fleet's fast lane, so they never queue behind DES work.
 
         ``resume=True`` continues from whatever checkpoint exists: a
-        leftover shard from a killed daemon, or the trials already
-        merged into *db_path* by an earlier run.  *tbl_text* may then
+        leftover shard from a killed daemon, or the database an earlier
+        run published at *db_path*.  *tbl_text* may then
         be ``None`` — the identity is recovered from the checkpoint's
         ``campaign_meta``.
 
@@ -142,6 +136,7 @@ class CampaignController:
         already in flight.
         """
         submission = {
+            "kind": "campaign",
             "tbl_text": tbl_text, "db_path": os.fspath(db_path),
             "mof_text": mof_text, "node_count": node_count, "jobs": jobs,
             "experiments": experiments, "policy": policy, "budget": budget,
@@ -153,26 +148,7 @@ class CampaignController:
             raise ServiceError(
                 "submit needs tbl_text (or resume=True with a "
                 "checkpointed db_path)")
-        with self._lock:
-            if self._closed:
-                raise ServiceError("controller is shut down")
-            active = sum(1 for r in self._records.values()
-                         if r.state == RUNNING)
-            if active >= self.max_active:
-                raise ServiceBusy(
-                    f"{active} campaign(s) already in flight "
-                    f"(max_active={self.max_active}); retry when one "
-                    f"finishes")
-            campaign_id = f"c{self._next_id:03d}"
-            self._next_id += 1
-            record = CampaignRecord(campaign_id, submission)
-            self._records[campaign_id] = record
-            record.thread = threading.Thread(
-                target=self._run_campaign, args=(record,),
-                name=f"campaign-{campaign_id}", daemon=True)
-            record.thread.start()
-        self.tracer.count("service.campaigns_submitted", 1)
-        return campaign_id
+        return self._admit(submission)
 
     def status(self, campaign_id=None):
         """One campaign's record, or the whole service's state."""
@@ -212,21 +188,15 @@ class CampaignController:
                     raise ServiceError(
                         f"campaign {campaign_id!r} is {record.state}; "
                         f"only cancelled or failed campaigns resume")
-                submission = dict(record.submission)
-            submission["resume"] = True
-            if jobs is not None:
-                submission["jobs"] = jobs
-            with self._lock:
                 if self._closed:
                     raise ServiceError("controller is shut down")
-                record.submission = submission
+                record.submission = dict(record.submission, resume=True)
+                if jobs is not None:
+                    record.submission["jobs"] = jobs
                 record.state = RUNNING
                 record.error = None
                 record.cancel_requested = False
-                record.thread = threading.Thread(
-                    target=self._run_campaign, args=(record,),
-                    name=f"campaign-{campaign_id}", daemon=True)
-                record.thread.start()
+                self._start(record)
             self.tracer.count("service.campaigns_resumed", 1)
             return campaign_id
         if db_path is None:
@@ -260,26 +230,7 @@ class CampaignController:
             "budget": budget, "rounds": rounds, "target": target,
             "experiment": experiment, "tracer": tracer,
         }
-        with self._lock:
-            if self._closed:
-                raise ServiceError("controller is shut down")
-            active = sum(1 for r in self._records.values()
-                         if r.state == RUNNING)
-            if active >= self.max_active:
-                raise ServiceBusy(
-                    f"{active} campaign(s) already in flight "
-                    f"(max_active={self.max_active}); retry when one "
-                    f"finishes")
-            heal_id = f"h{self._next_id:03d}"
-            self._next_id += 1
-            record = CampaignRecord(heal_id, submission)
-            self._records[heal_id] = record
-            record.thread = threading.Thread(
-                target=self._run_heal, args=(record,),
-                name=f"heal-{heal_id}", daemon=True)
-            record.thread.start()
-        self.tracer.count("service.heals_submitted", 1)
-        return heal_id
+        return self._admit(submission)
 
     def wait(self, campaign_id, timeout=None):
         """Block until the campaign reaches a terminal state; returns
@@ -313,6 +264,38 @@ class CampaignController:
 
     # -- execution ---------------------------------------------------------
 
+    def _admit(self, submission):
+        """Admit a campaign or heal submission and start its thread;
+        returns its id.  Raises :class:`ServiceBusy` once *max_active*
+        records are running."""
+        kind = submission["kind"]
+        with self._lock:
+            if self._closed:
+                raise ServiceError("controller is shut down")
+            active = sum(1 for r in self._records.values()
+                         if r.state == RUNNING)
+            if active >= self.max_active:
+                raise ServiceBusy(
+                    f"{active} campaign(s) already in flight "
+                    f"(max_active={self.max_active}); retry when one "
+                    f"finishes")
+            record = CampaignRecord(f"{kind[0]}{self._next_id:03d}",
+                                    submission)
+            self._next_id += 1
+            self._records[record.campaign_id] = record
+            self._start(record)
+        self.tracer.count(f"service.{kind}s_submitted", 1)
+        return record.campaign_id
+
+    def _start(self, record):
+        """Start *record*'s controller thread (caller holds the lock)."""
+        kind = record.submission["kind"]
+        target = self._run_heal if kind == "heal" else self._run_campaign
+        record.thread = threading.Thread(
+            target=target, args=(record,),
+            name=f"{kind}-{record.campaign_id}", daemon=True)
+        record.thread.start()
+
     def _record(self, campaign_id):
         record = self._records.get(campaign_id)
         if record is None:
@@ -320,7 +303,7 @@ class CampaignController:
         return record
 
     def _run_campaign(self, record):
-        """One campaign's controller thread: shard, lease, run, merge."""
+        """One campaign's controller thread: shard, lease, run, publish."""
         sub = record.submission
         cid = record.campaign_id
         shard = None
@@ -336,7 +319,7 @@ class CampaignController:
             report = self._execute(campaign, sub, lease,
                                    self.aggregator.tap(cid))
             self._finalize(record, shard, report)
-            shard = None                 # _finalize closed and removed it
+            shard = None                 # _finalize closed and published it
         except CampaignCancelled as error:
             self._settle(record, CANCELLED, str(error))
         except Exception as error:       # noqa: BLE001 — the record is
@@ -350,24 +333,16 @@ class CampaignController:
 
     def _open_shard(self, sub):
         """The campaign's private shard database, next to its final
-        path.  Resume picks up a leftover shard; a resume with no shard
-        (the campaign already merged) restarts from the final database
-        copied back into a fresh shard."""
+        path.  A resume picks up a leftover shard; a resume with no
+        shard (the campaign was already published) seeds a fresh shard
+        from the final database."""
         path = shard_path(sub["db_path"])
-        if sub["resume"] and not os.path.exists(path) \
-                and os.path.exists(sub["db_path"]):
-            final = ResultsDatabase(sub["db_path"])
-            try:
-                shard = ResultsDatabase(path)
-                shard.absorb_shard(final)
-                return shard
-            finally:
-                final.close()
-        if sub["resume"] and not os.path.exists(path) \
-                and not os.path.exists(sub["db_path"]):
-            raise ServiceError(
-                f"nothing to resume: neither {path} nor "
-                f"{sub['db_path']} exists")
+        if sub["resume"] and not os.path.exists(path):
+            if not os.path.exists(sub["db_path"]):
+                raise ServiceError(
+                    f"nothing to resume: neither {path} nor "
+                    f"{sub['db_path']} exists")
+            merge_shards([sub["db_path"]], path).close()
         return ResultsDatabase(path)
 
     def _build_campaign(self, sub, shard, cid):
@@ -386,50 +361,37 @@ class CampaignController:
             tenant=cid)
 
     def _execute(self, campaign, sub, lease, tap):
-        """Dispatch to the right run loop.  A resume without explicit
-        planner parameters recovers them from the checkpoint meta, the
-        same way :func:`repro.api.resume_campaign` does."""
-        policy = sub["policy"]
-        budget = sub["budget"]
-        experiment = sub["experiment"]
-        fidelity = sub.get("fidelity")
-        if fidelity is None and sub["resume"]:
-            fidelity = campaign.database.get_meta(META_FIDELITY)
-        if fidelity is None:
-            fidelity = DES
-        if policy is None and sub["resume"]:
-            policy = campaign.database.get_meta(META_PLANNER_POLICY)
-            if policy is not None:
-                stored = campaign.database.get_meta(META_PLANNER_BUDGET)
-                budget = int(stored) if stored is not None else None
-                experiment = campaign.database.get_meta(
-                    META_PLANNER_EXPERIMENT)
-        if policy is not None:
+        """Dispatch to the right run loop.  A resume goes through
+        :meth:`ObservationCampaign.resume`, which recovers whatever the
+        submission leaves unset from the checkpoint meta."""
+        run_kwargs = {"executor": lease, "on_result": tap,
+                      "replace": sub["replace"]}
+        if sub["resume"]:
+            return campaign.resume(
+                sub["experiments"], policy=sub["policy"],
+                budget=sub["budget"], experiment=sub["experiment"],
+                fidelity=sub["fidelity"], **run_kwargs)
+        fidelity = sub["fidelity"] or DES
+        if sub["policy"] is not None:
             return campaign.run_adaptive(
-                policy, experiment_name=experiment, budget=budget,
-                executor=lease, on_result=tap, replace=sub["replace"],
-                resume=sub["resume"], fidelity=fidelity)
-        return campaign.run(
-            sub["experiments"], executor=lease, on_result=tap,
-            replace=sub["replace"], resume=sub["resume"],
-            fidelity=fidelity)
+                sub["policy"], experiment_name=sub["experiment"],
+                budget=sub["budget"], fidelity=fidelity, **run_kwargs)
+        return campaign.run(sub["experiments"], fidelity=fidelity,
+                            **run_kwargs)
 
     def _finalize(self, record, shard, report):
-        """Shard -> final database: merge, verify, drop the shard."""
-        destination = record.db_path
-        if os.path.exists(destination):
-            os.unlink(destination)
-        merged = merge_shards([shard], destination)
-        try:
-            problems = merged.integrity_check()
-            if problems:
-                raise ResultsError(
-                    f"merged database failed integrity check: "
-                    f"{'; '.join(problems)}")
-        finally:
-            merged.close()
+        """Verify the shard, close it and publish it by rename: it holds
+        exactly what a CLI run writes, so ``os.replace`` moves it (run
+        card first) onto the final path, atomically replacing any
+        earlier database there."""
+        problems = shard.integrity_check()
         shard.close()
-        os.unlink(shard_path(destination))
+        if problems:
+            raise ResultsError(
+                f"campaign shard failed integrity check: "
+                f"{'; '.join(problems)}")
+        for suffix in (RUN_CARD_SUFFIX, ""):
+            os.replace(shard.path + suffix, record.db_path + suffix)
         with self._lock:
             record.state = DONE
             record.summary = report.summary()

@@ -3,11 +3,14 @@
 A :class:`WorkerFleet` owns one persistent
 :class:`~repro.experiments.scheduler.TrialScheduler` of thread workers
 and multiplexes every attached campaign's trial tasks over it.
-The dispatcher enforces the service plane's scheduling invariants:
+Admission runs inline, under the fleet lock, whenever a batch is
+enqueued and whenever a task completes — there is no dispatcher
+thread.  Each admission sweep enforces the service plane's scheduling
+invariants:
 
-- **round-robin fair share** — each dispatch sweep admits at most one
-  task per campaign, walking campaigns in attach order, so a campaign
-  with thousands of queued trials cannot starve one with ten;
+- **round-robin fair share** — a sweep admits at most one task per
+  campaign, walking campaigns in attach order, so a campaign with
+  thousands of queued trials cannot starve one with ten;
 - **per-campaign ceilings** — a campaign never holds more in-flight
   workers than its submitted ``jobs`` ceiling;
 - **fleet backpressure** — admissions stop at the fleet's worker
@@ -116,11 +119,8 @@ class WorkerFleet:
         self._in_flight = 0          # main-lane admitted tasks
         self._fast_in_flight = 0     # fast-lane admitted tasks
         self._dispatched = 0         # lifetime admission counter
+        self._admitting = False      # an admission sweep is running
         self._closed = False
-        self._dispatcher = threading.Thread(target=self._dispatch_loop,
-                                            name="fleet-dispatcher",
-                                            daemon=True)
-        self._dispatcher.start()
 
     # -- campaign lifecycle ------------------------------------------------
 
@@ -190,7 +190,7 @@ class WorkerFleet:
             for task in tasks:
                 queue.pending.append((queue.next_seq, task))
                 queue.next_seq += 1
-            self._cond.notify_all()
+            self._admit_locked()
             while not batch.settled():
                 if queue.cancelled and queue.in_flight == 0 \
                         and not queue.pending:
@@ -204,22 +204,26 @@ class WorkerFleet:
                 raise batch.error
             return batch.results
 
-    def _dispatch_loop(self):
-        """Round-robin admission: at most one task per campaign per
-        sweep, in attach order, until the fleet is saturated."""
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
-                admitted = self._admit_locked()
-                if not admitted:
-                    # Nothing admissible: wait for a completion, a new
-                    # batch, a cancel, or shutdown.  The timeout is a
-                    # liveness backstop, not a scheduling quantum.
-                    self._cond.wait(timeout=0.5)
-
     def _admit_locked(self):
-        """One full round-robin sweep; returns how many were admitted.
+        """Sweep until nothing more is admitted (caller holds ``_cond``).
+
+        A done-callback fires inside ``pool.submit`` when its task has
+        already finished, re-entering here on the same thread (the lock
+        is reentrant).  That inner call returns at once: it can only
+        happen during a sweep that admitted a task, so the outer loop
+        sweeps again anyway — admission never recurses.
+        """
+        if self._admitting:
+            return
+        self._admitting = True
+        try:
+            while self._sweep():
+                pass
+        finally:
+            self._admitting = False
+
+    def _sweep(self):
+        """One round-robin sweep; returns how many were admitted.
 
         Each queue's *head* task picks its lane: analytic trials go to
         the fast pool, everything else to the main pool.  A lane at
@@ -291,6 +295,7 @@ class WorkerFleet:
                         if batch.on_result is not None:
                             batch.on_result(result)
                 self.tracer.count("fleet.tasks_done", 1)
+            self._admit_locked()
             self._cond.notify_all()
 
     # -- observability and lifecycle ---------------------------------------
@@ -315,13 +320,8 @@ class WorkerFleet:
                 },
             }
 
-    def saturated(self):
-        """Whether every fleet worker is currently held."""
-        with self._cond:
-            return self._in_flight >= self.jobs
-
     def close(self):
-        """Stop the dispatcher and shut the worker pool down."""
+        """Cancel every campaign and shut both worker pools down."""
         with self._cond:
             if self._closed:
                 return
@@ -330,7 +330,6 @@ class WorkerFleet:
                 queue.cancelled = True
                 queue.pending.clear()
             self._cond.notify_all()
-        self._dispatcher.join(timeout=5)
         self._pool.close()
         self._fast_pool.close()
 

@@ -9,14 +9,17 @@ resuming both campaigns on a fresh one.
 """
 
 import gc
+import json
 import os
 import threading
 import time
+import types
 import weakref
+from concurrent.futures import Future
 
 import pytest
 
-from repro import api, hotpath
+from repro import ObservationCampaign, api, hotpath
 from repro.errors import CampaignCancelled, ServiceBusy, ServiceError
 from repro.results.database import ResultsDatabase, merge_shards, shard_path
 from repro.service import (
@@ -26,6 +29,7 @@ from repro.service import (
     StreamingAggregator,
     WorkerFleet,
 )
+from repro.sim import ANALYTIC
 
 TBL_A = """
 benchmark rubis; platform emulab;
@@ -251,6 +255,106 @@ class TestWorkerFleet:
         finally:
             fleet.close()
 
+    def test_a_campaign_builds_a_runner_per_concurrent_task(self):
+        # Each runner stands for a cluster clone: a ceiling-1 campaign
+        # needs one, however many pool threads its trials land on.
+        built = []
+
+        def factory():
+            built.append(GatedRunner(tenant="one"))
+            return built[-1]
+
+        fleet = WorkerFleet(jobs=4)
+        try:
+            lease = fleet.attach("one", factory, ceiling=1)
+            assert lease.run_tasks(range(50)) == \
+                [("done", "one", n) for n in range(50)]
+            assert len(built) == 1
+        finally:
+            fleet.close()
+
+    def test_a_fleet_starts_no_thread_of_its_own(self):
+        before = set(threading.enumerate())
+        fleet = WorkerFleet(jobs=2)
+        try:
+            assert set(threading.enumerate()) == before
+        finally:
+            fleet.close()
+
+    @pytest.mark.parametrize("pool", ["threads", "inline"])
+    def test_instant_tasks_admit_inline_without_recursion(self, pool):
+        # A task that is done before its callback is attached completes
+        # inside pool.submit; admitting from there must loop, not
+        # recurse, or a long batch overflows the stack.  The inline
+        # pool makes that happen for every task.
+        class EchoRunner:
+            def run_task(self, task):
+                return task
+
+        fleet = WorkerFleet(jobs=2)
+        if pool == "inline":
+            fleet._pool.close()
+            fleet._pool = _InlinePool()
+        try:
+            lease = fleet.attach("echo", EchoRunner, ceiling=2)
+            assert lease.run_tasks(range(3000)) == list(range(3000))
+            assert fleet.stats()["dispatched"] == 3000
+        finally:
+            fleet.close()
+
+    def test_analytic_lane_runs_while_every_main_worker_is_held(self):
+        observed = {"lock": threading.Lock(), "running": {}, "peak": {}}
+        gate = threading.Event()
+        fleet = WorkerFleet(jobs=2)
+        try:
+            des = fleet.attach(
+                "des", lambda: GatedRunner(gate=gate, observed=observed,
+                                           tenant="des"),
+                ceiling=2)
+            held = threading.Thread(target=lambda: des.run_tasks([1, 2]))
+            held.start()
+            deadline = time.time() + 10
+            while time.time() < deadline:
+                with observed["lock"]:
+                    if observed["running"].get("des", 0) == 2:
+                        break
+                time.sleep(0.02)
+            assert fleet.stats()["in_flight"] == 2
+            fast = fleet.attach("fast", lambda: GatedRunner(tenant="fast"),
+                                ceiling=4)
+            tasks = [types.SimpleNamespace(fidelity=ANALYTIC, n=n)
+                     for n in range(5)]
+            out = []
+            batch = threading.Thread(
+                target=lambda: out.append(fast.run_tasks(tasks)))
+            batch.start()
+            batch.join(timeout=10)
+            # Delivered while both main-lane workers were still held.
+            assert out == [[("done", "fast", task) for task in tasks]]
+            gate.set()
+            held.join(timeout=30)
+            batch.join(timeout=30)
+        finally:
+            gate.set()
+            fleet.close()
+
+
+class _InlinePool:
+    """A fleet lane whose tasks finish inside ``submit``, so every
+    done-callback re-enters the fleet on the submitting thread."""
+
+    def submit(self, task, *, tenant, runner_factory, on_done):
+        future = Future()
+        future.set_result(runner_factory().run_task(task))
+        on_done(future)
+        return future
+
+    def forget_tenant(self, tenant):
+        pass
+
+    def close(self):
+        pass
+
 
 def _run_catching(lease, tasks, on_result):
     try:
@@ -318,7 +422,8 @@ class TestCampaignController:
         assert rec_a["state"] == "done" and rec_b["state"] == "done"
         assert full_dump(db_a) == sequential_dumps["a"]
         assert full_dump(db_b) == sequential_dumps["b"]
-        # Shards merged and removed; the merged files are consistent.
+        # Shards published by rename (none left behind); the final
+        # files are consistent.
         assert not os.path.exists(shard_path(db_a))
         assert not os.path.exists(shard_path(db_b))
         database = ResultsDatabase(db_a)
@@ -431,6 +536,90 @@ class TestCampaignController:
             assert "nothing to resume" in record["error"]
         finally:
             controller.shutdown()
+
+
+    def test_published_database_carries_its_run_card(self, tmp_path):
+        db = str(tmp_path / "out.sqlite")
+        controller = CampaignController(jobs=1)
+        try:
+            record = wait_done(controller,
+                               controller.submit(TBL_A, db_path=db))
+        finally:
+            controller.shutdown()
+        assert record["state"] == "done", record["error"]
+        database = ResultsDatabase(db)
+        try:
+            cards = database.run_cards()
+        finally:
+            database.close()
+        with open(f"{db}.run_card.json") as exported:
+            assert [json.load(exported)] == cards
+        assert sorted(os.listdir(tmp_path)) == \
+            ["out.sqlite", "out.sqlite.run_card.json"]
+
+
+class _Kill(Exception):
+    pass
+
+
+#: One resume contract, three campaign shapes: each row runs its
+#: campaign (``run(campaign, on_result)``) and is killed after *after*
+#: delivered trials.
+RESUME_ROWS = {
+    "grid": (TBL_A, lambda campaign, on_result: campaign.run(
+        on_result=on_result), 2),
+    "knee": (ADAPT_TBL, lambda campaign, on_result: campaign.run_adaptive(
+        "knee", on_result=on_result), 2),
+    "analytic-grid": (TBL_B, lambda campaign, on_result: campaign.run(
+        fidelity=ANALYTIC, on_result=on_result), 1),
+}
+
+
+class TestResumeEntryPoints:
+    """A killed campaign resumes to the uninterrupted run's bytes
+    through both entry points: ``api.resume_campaign`` in process, and
+    a fresh daemon's ``resume(db_path=...)``."""
+
+    @staticmethod
+    def _run(path, tbl, run, after=None):
+        campaign = ObservationCampaign(tbl, database=ResultsDatabase(path))
+        seen = []
+
+        def killer(result):
+            seen.append(result)
+            if len(seen) == after:
+                raise _Kill()
+
+        try:
+            if after is None:
+                run(campaign, None)
+            else:
+                with pytest.raises(_Kill):
+                    run(campaign, killer)
+                assert campaign.database.count() == after
+        finally:
+            campaign.database.close()
+
+    @pytest.mark.parametrize("row", sorted(RESUME_ROWS))
+    def test_killed_campaign_resumes_identically(self, tmp_path, row):
+        tbl, run, after = RESUME_ROWS[row]
+        reference = str(tmp_path / "reference.db")
+        self._run(reference, tbl, run)
+        in_process = str(tmp_path / "api.db")
+        self._run(in_process, tbl, run, after)
+        api.resume_campaign(in_process).database.close()
+        assert full_dump(in_process) == full_dump(reference)
+        daemon = str(tmp_path / "daemon.db")
+        self._run(daemon, tbl, run, after)
+        controller = CampaignController(jobs=2)
+        try:
+            record = wait_done(controller,
+                               controller.resume(db_path=daemon))
+        finally:
+            controller.shutdown()
+        assert record["state"] == "done", record["error"]
+        assert record["skipped"] == after
+        assert full_dump(daemon) == full_dump(reference)
 
 
 # ---------------------------------------------------------------------------
