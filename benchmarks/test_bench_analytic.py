@@ -11,10 +11,11 @@ Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``:
   ``fidelity="analytic"``, run at one and at four workers, timed for
   trials/sec and byte-compared across worker counts.
 
-The payload also counts the analytic solves of both legs and the
-most root steps any of them took (``solver``), and the SLO verdicts
-the planner judged against the trials it ran (``planner``); CI gates
-both counts, which no runner's speed can move.
+The payload also counts the analytic solves of both legs, the most
+root steps any of them took and the analytic models the million-user
+exploration built (``solver``), and the SLO verdicts the planner
+judged against the trials it ran (``planner``); CI gates these
+counts, which no runner's speed can move.
 
 Three assertions gate the result:
 
@@ -94,10 +95,19 @@ def test_bench_analytic(monkeypatch):
         return slo_violated(result, slo)
 
     monkeypatch.setattr(policy, "slo_violated", judged)
+    models = []
+    ntier_model = analytic.ntier_model
+
+    def built(*args, **kwargs):
+        models.append(args)
+        return ntier_model(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "ntier_model", built)
     start = time.perf_counter()
     explored = run_adaptive(MILLION_TBL, policy="knee", fidelity="auto",
                             node_count=40)
     explore_s = time.perf_counter() - start
+    monkeypatch.setattr(analytic, "ntier_model", ntier_model)
     knees = [d for d in explored.outcome.knees if d.action == KNEE]
     knee_workload = knees[0].workload if knees else None
     analytic_trials = len(
@@ -126,6 +136,7 @@ def test_bench_analytic(monkeypatch):
         "solver": {
             "solves": len(steps),
             "max_iterations": max(steps),
+            "models": len(models),
         },
         "planner": {
             "verdicts": len(verdicts),

@@ -156,6 +156,7 @@ class ExperimentRunner:
         self.cluster.faults = self.faults
         self._host_failures = {}     # host name -> blamed failure count
         self._probation = {}         # quarantined host -> trials to release
+        self._analytic_models = {}   # ladder key -> (preview, plan, model)
         self._phase = "allocate"
 
     def clone(self):
@@ -279,10 +280,7 @@ class ExperimentRunner:
                     trial_span.annotate(attempt=attempt + 1)
                 if self.tenant is not None:
                     trial_span.annotate(tenant=self.tenant)
-                tier_node_types = {}
-                if experiment.db_node_type is not None:
-                    tier_node_types["db"] = self.cluster.platform.node_type(
-                        experiment.db_node_type).name
+                tier_node_types = self._tier_node_types(experiment)
                 ratio = getattr(experiment, "consolidation_ratio", 1)
                 with tracer.span("allocate",
                                  wait=self.wait_for_nodes) as alloc_span:
@@ -310,6 +308,12 @@ class ExperimentRunner:
         finally:
             if trial_span is not None:
                 exports.append(tracer.export(trial_span))
+
+    def _tier_node_types(self, experiment):
+        if experiment.db_node_type is None:
+            return {}
+        return {"db": self.cluster.platform.node_type(
+            experiment.db_node_type).name}
 
     def _note_failure(self, error, attempt, policy, failures, exports):
         """Record one failed attempt; returns whether to retry.
@@ -449,30 +453,11 @@ class ExperimentRunner:
                     fidelity=ANALYTIC) as trial_span:
                 if self.tenant is not None:
                     trial_span.annotate(tenant=self.tenant)
-                tier_node_types = {}
-                if experiment.db_node_type is not None:
-                    tier_node_types["db"] = self.cluster.platform.node_type(
-                        experiment.db_node_type).name
                 arrival = getattr(experiment, "arrival", None)
                 analytic.require_analytic_support(arrival)
-                ratio = getattr(experiment, "consolidation_ratio", 1)
                 with tracer.span("simulate"):
-                    preview = self.cluster.preview_allocation(
-                        topology, tier_node_types=tier_node_types)
-                    # The DES allocator consolidates hosts in
-                    # all_server_hosts() (web, app, db) order; the
-                    # preview flattened the same way yields the
-                    # identical packing, so both tiers model the same
-                    # interference.
-                    names = [name for tier in ("web", "app", "db")
-                             for name, _node in preview.get(tier, ())]
-                    colocation = plan_colocation(names, ratio)
-                    model = analytic.ntier_model(
-                        experiment.benchmark, preview, write_ratio,
-                        think_time=experiment.think_time,
-                        timeout=experiment.timeout,
-                        app_server=experiment.app_server,
-                        colocation=colocation)
+                    preview, colocation, model = self._analytic_model(
+                        experiment, topology, write_ratio)
                     if arrival is not None:
                         rate = request_rate(arrival, workload,
                                             experiment.think_time)
@@ -529,6 +514,38 @@ class ExperimentRunner:
         )
         result.spans = merge_span_exports(exports)
         return result
+
+    def _analytic_model(self, experiment, topology, write_ratio):
+        """``(preview, colocation, model)`` for one workload ladder.
+
+        None of it reads the workload, so it is built once per key: the
+        key holds everything the build reads, the quarantined hosts the
+        preview skips included, so a quarantine forces a rebuild.
+        """
+        ratio = getattr(experiment, "consolidation_ratio", 1)
+        key = (topology.label(), experiment.db_node_type,
+               experiment.benchmark, write_ratio, experiment.think_time,
+               experiment.timeout, experiment.app_server, ratio,
+               frozenset(self.cluster.quarantined()))
+        built = self._analytic_models.get(key)
+        if built is None:
+            preview = self.cluster.preview_allocation(
+                topology, tier_node_types=self._tier_node_types(experiment))
+            # The DES allocator consolidates hosts in all_server_hosts()
+            # (web, app, db) order; the preview flattened the same way
+            # yields the identical packing, so both tiers model the
+            # same interference.
+            names = [name for tier in ("web", "app", "db")
+                     for name, _node in preview.get(tier, ())]
+            colocation = plan_colocation(names, ratio)
+            model = analytic.ntier_model(
+                experiment.benchmark, preview, write_ratio,
+                think_time=experiment.think_time,
+                timeout=experiment.timeout,
+                app_server=experiment.app_server, colocation=colocation)
+            built = self._analytic_models[key] = (preview, colocation,
+                                                  model)
+        return built
 
     def run_experiment(self, experiment, *, on_result=None, jobs=1,
                        backend=None, fidelity=DES):

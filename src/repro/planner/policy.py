@@ -43,7 +43,7 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 POLICY_NAMES = ("grid", "knee", "promote", "tiered")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Decision:
     """One planner decision — a row of the decision log.
 
@@ -51,6 +51,11 @@ class Decision:
     ``prune`` decisions so the loop can act on it; it never persists
     (the topology/workload/write_ratio columns do) and is excluded
     from equality so logs compare by their recorded content alone.
+
+    A plain record, not a frozen one: an exploration makes about a
+    thousand of them, mostly prunes, and frozen construction pays one
+    ``object.__setattr__`` per field.  So a decision is mutable and
+    unhashable; nothing assigns to or hashes one once it is made.
     """
 
     action: str
@@ -291,7 +296,7 @@ class TieredFidelityPolicy(Policy):
             knee = frontier.workloads().index(decision.workload)
             passed = knee - 1 if knee > 0 else None
         return {"write_ratio": decision.write_ratio,
-                "knee": knee, "pass": passed}
+                "knee": knee, "pass": passed, "judged": {}}
 
     def _confirm(self, frontier, group_id, state, slo):
         workloads = frontier.workloads()
@@ -314,7 +319,13 @@ class TieredFidelityPolicy(Policy):
                             f"DES confirmation of analytic {role} "
                             f"(expect {'violation' if expect else 'pass'})"))
                 else:
-                    verdicts[role] = slo_violated(result, slo)
+                    # Judge each DES observation once, as the inner
+                    # policy does: rung -> (result, verdict).
+                    memo = state["judged"].get(index)
+                    if memo is None or memo[0] is not result:
+                        memo = state["judged"][index] = (
+                            result, slo_violated(result, slo))
+                    verdicts[role] = memo[1]
             if proposals:
                 return proposals
             if len(verdicts) < len(targets):

@@ -7,6 +7,10 @@ The contracts under test:
 - its exact root in throughput matches the damped fixed-point
   iteration it replaced, respects the operational-law bounds, is
   monotone in the population, and takes a bounded number of steps;
+- every solve of an invalid model raises, and a solved model solves
+  exactly like a fresh one;
+- a runner builds one analytic model per workload ladder, and rebuilds
+  it when a host is quarantined;
 - the knees and ``planner_decisions`` rows of one RUBiS and one RUBBoS
   analytic knee exploration, and of a tiered, an analytic promotion and
   a budget-wrapped analytic knee exploration, stay exactly as recorded;
@@ -23,6 +27,7 @@ The contracts under test:
   databases and databases written before the tier existed.
 """
 
+import dataclasses
 import hashlib
 import os
 import sqlite3
@@ -314,6 +319,90 @@ def test_degenerate_closed_model_is_a_typed_failure():
         think_time=1.0, replicas=2)
     with pytest.raises(SimulationError, match="writes more"):
         analytic.solve_model(model, 10)
+
+
+@pytest.mark.parametrize("stations", [
+    (AnalyticStation("db", 0.01), AnalyticStation("db", 0.02)),
+    (AnalyticStation("db", 0.01, write_demand=0.02),),
+], ids=["duplicate-names", "writes-more-than-demand"])
+def test_an_invalid_model_raises_on_every_solve(stations):
+    # Construction checks nothing; every solve does.
+    model = AnalyticModel(stations=stations, think_time=1.0, replicas=2)
+    for _ in range(2):
+        with pytest.raises(SimulationError):
+            analytic.solve_model(model, 10)
+        with pytest.raises(SimulationError):
+            analytic.solve_open(model, 5.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=closed_models(), first=USERS, users=USERS,
+       rate=st.floats(0.1, 2000.0))
+def test_a_solved_model_solves_like_a_fresh_one(model, first, users,
+                                                rate):
+    """A solve leaves nothing on the model that a later one reads:
+    every later solve must equal, bit for bit, a solve of a fresh
+    equal model at any population or rate."""
+    analytic.solve_model(model, first)
+    assert analytic.solve_model(model, users) == analytic.solve_model(
+        dataclasses.replace(model), users)
+    assert analytic.solve_open(model, rate) == analytic.solve_open(
+        dataclasses.replace(model), rate)
+
+
+#: Three topologies by two write ratios: six workload ladders.
+LADDERS_TBL = """
+benchmark rubis; platform emulab;
+experiment "ladders" {
+    topology 1-1-1, 1-2-1, 1-2-2;
+    workload 100 to 2000 step 100;
+    write_ratio 0%, 15%;
+}
+"""
+
+
+class TestModelPerLadder:
+    """A runner builds one analytic model per workload ladder."""
+
+    def test_knee_exploration_builds_one_model_per_group(self,
+                                                         monkeypatch):
+        built = []
+        ntier_model = analytic.ntier_model
+
+        def counted(benchmark, tier_hosts, write_ratio, **kwargs):
+            built.append((tuple(len(tier_hosts.get(tier, ()))
+                                for tier in ("web", "app", "db")),
+                          write_ratio))
+            return ntier_model(benchmark, tier_hosts, write_ratio,
+                               **kwargs)
+
+        monkeypatch.setattr(analytic, "ntier_model", counted)
+        report = run_adaptive(LADDERS_TBL, policy=KNEE, fidelity=ANALYTIC)
+        assert report.outcome.executed > 6 * 2
+        assert len(built) == len(set(built)) == 6
+
+    def test_a_quarantine_rebuilds_the_preview(self):
+        def runner(quarantined=None):
+            campaign = ObservationCampaign(KNEE_TBL, node_count=8)
+            if quarantined is not None:
+                campaign.cluster.quarantine(quarantined)
+            experiment = campaign.spec.experiments[0]
+            return campaign.runner, experiment, experiment.topologies[0]
+
+        def point(runner, experiment, topology, workload):
+            return runner.run_point(experiment, topology, workload, 0.15,
+                                    fidelity=ANALYTIC)
+
+        live = runner()
+        first = point(*live, 100)
+        app = next(host for host, tier in first.tier_of_host.items()
+                   if tier == "app")
+        live[0].cluster.quarantine(app)
+        second = point(*live, 200)
+        fresh = point(*runner(app), 200)
+        assert app not in second.tier_of_host
+        assert (second.host_cpu, second.tier_of_host) == (
+            fresh.host_cpu, fresh.tier_of_host)
 
 
 #: Knee explorations whose decisions are pinned below: one RUBiS
