@@ -10,6 +10,7 @@ and writes its rendering to ``benchmarks/output/<id>.txt`` so the rows/
 series can be compared against the paper (see EXPERIMENTS.md).
 """
 
+import json
 import pathlib
 
 import pytest
@@ -41,3 +42,26 @@ def once(benchmark):
                                   rounds=1, iterations=1)
 
     return _once
+
+
+@pytest.fixture
+def write_bench():
+    """Persist and echo a timed bench's result in two files.
+
+    ``write_bench(name, payload, timing)`` writes the deterministic
+    *payload* (counts, knees, identity flags, cache stats) to the
+    tracked ``output/BENCH_<name>.json`` and the wall-clock *timing*
+    (walls, rates, speedups) to the git-ignored sibling
+    ``output/BENCH_<name>.timing.json``, so a run leaves the tree
+    clean.  CI gates read each value from the file that holds it.
+    """
+
+    def _write(name, payload, timing):
+        OUTPUT_DIR.mkdir(exist_ok=True)
+        for suffix, body in ((".json", payload), (".timing.json", timing)):
+            (OUTPUT_DIR / f"BENCH_{name}{suffix}").write_text(
+                json.dumps(body, indent=2) + "\n")
+        print()
+        print(json.dumps({**payload, "timing": timing}, indent=2))
+
+    return _write

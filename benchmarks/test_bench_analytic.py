@@ -1,6 +1,8 @@
 """Analytic fast-path benchmark: million-user characterization cost.
 
-Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``:
+Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``
+(their wall clocks and rates to the git-ignored
+``BENCH_analytic.timing.json`` beside it):
 
 * **million-user exploration** — a tiered (``fidelity="auto"``)
   knee exploration of the 4-16-8 topology over a workload ladder
@@ -31,16 +33,12 @@ baseline (``benchmarks/BENCH_analytic.baseline.json``) and fails on a
 >20% regression, exactly like the hot-path bench.
 """
 
-import json
-import pathlib
 import time
 
 from repro.api import run_adaptive, run_campaign
 from repro.planner import policy
 from repro.planner.policy import KNEE
 from repro.sim import analytic
-
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 MILLION_TBL = """
 benchmark rubis; platform emulab;
@@ -77,7 +75,7 @@ def _grid_leg(jobs):
     return wall, report.trials, dump
 
 
-def test_bench_analytic(monkeypatch):
+def test_bench_analytic(monkeypatch, write_bench):
     steps = []
     solve_model = analytic.solve_model
 
@@ -118,21 +116,15 @@ def test_bench_analytic(monkeypatch):
     par_s, _, parallel = _grid_leg(jobs=4)
     byte_identical = sequential == parallel
 
-    payload = {
+    write_bench("analytic", {
         "campaign": "analytic-million",
         "explore": {
-            "wall_s": round(explore_s, 3),
             "executed": explored.outcome.executed,
             "knee_workload": knee_workload,
             "analytic_trials": analytic_trials,
             "des_trials": des_trials,
         },
-        "analytic_grid": {
-            "trials": trials,
-            "wall_s": round(seq_s, 3),
-            "trials_per_sec": round(trials / seq_s, 3),
-            "parallel_wall_s": round(par_s, 3),
-        },
+        "analytic_grid": {"trials": trials},
         "solver": {
             "solves": len(steps),
             "max_iterations": max(steps),
@@ -143,12 +135,14 @@ def test_bench_analytic(monkeypatch):
             "trials": explored.outcome.executed,
         },
         "byte_identical": byte_identical,
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "BENCH_analytic.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-    print()
-    print(json.dumps(payload, indent=2))
+    }, {
+        "explore": {"wall_s": round(explore_s, 3)},
+        "analytic_grid": {
+            "wall_s": round(seq_s, 3),
+            "trials_per_sec": round(trials / seq_s, 3),
+            "parallel_wall_s": round(par_s, 3),
+        },
+    })
 
     assert explore_s < 10.0, (
         f"million-user characterization took {explore_s:.1f}s; "

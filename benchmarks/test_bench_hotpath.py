@@ -2,7 +2,9 @@
 
 Runs the same overhead-dominated smoke campaign twice — once under
 ``hotpath.caches_disabled()`` and once with the caches warm-started
-cold — and records both rates to ``benchmarks/output/BENCH_hotpath.json``.
+cold — and records the deterministic outcome to
+``benchmarks/output/BENCH_hotpath.json`` and both rates to the
+git-ignored ``BENCH_hotpath.timing.json`` beside it.
 The campaign is deliberately dominated by apparatus cost (generation,
 parsing, archive rendering) rather than simulated trial time, because
 that is the cost the caching plane exists to amortize.
@@ -20,13 +22,9 @@ CI additionally diffs the measured rate against the committed baseline
 regression.
 """
 
-import json
-import pathlib
 import time
 
 from repro import Tracer, hotpath, run_campaign
-
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 #: Short phases, low workloads, many points: apparatus-bound on purpose.
 SMOKE_TBL = """
@@ -50,7 +48,7 @@ def _run_leg():
     return {table: report.database.dump_rows(table) for table in ALL_TABLES}
 
 
-def test_bench_hotpath():
+def test_bench_hotpath(write_bench):
     with hotpath.caches_disabled():
         start = time.perf_counter()
         reference = _run_leg()
@@ -67,22 +65,18 @@ def test_bench_hotpath():
     on_rate = trials / on_s
     speedup = off_rate and on_rate / off_rate
 
-    payload = {
+    write_bench("hotpath", {
         "campaign": "hotpath-smoke",
         "trials": trials,
+        "byte_identical": byte_identical,
+        "cache_stats": hotpath.stats(),
+    }, {
         "caches_off": {"wall_s": round(off_s, 3),
                        "trials_per_sec": round(off_rate, 3)},
         "caches_on": {"wall_s": round(on_s, 3),
                       "trials_per_sec": round(on_rate, 3)},
         "speedup": round(speedup, 2),
-        "byte_identical": byte_identical,
-        "cache_stats": hotpath.stats(),
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "BENCH_hotpath.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-    print()
-    print(json.dumps(payload, indent=2))
+    })
 
     assert byte_identical, "cached campaign diverged from cache-free run"
     assert trials == 64

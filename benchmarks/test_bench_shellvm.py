@@ -33,9 +33,7 @@ Three gates:
 """
 
 import gc
-import json
 import os
-import pathlib
 import statistics
 import time
 
@@ -46,8 +44,6 @@ from repro.shellvm.interpreter import ShellInterpreter
 from repro.spec.mof import load_resource_model, render_resource_mof
 from repro.spec.tbl import parse
 from repro.vcluster.cluster import VirtualCluster
-
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 #: Short phases, a real chassis (8 and 12 app servers), many
 #: repetitions: 64 trials whose per-trial shell work is the paper's
@@ -137,7 +133,7 @@ def _cycle_seconds(bundle, engine, cycles=CYCLES):
         gc.enable()
 
 
-def test_bench_shellvm():
+def test_bench_shellvm(write_bench):
     previous = os.environ.get("REPRO_SHELLVM")
     hotpath.clear()
     try:
@@ -165,10 +161,12 @@ def test_bench_shellvm():
         else:
             os.environ["REPRO_SHELLVM"] = previous
 
-    payload = {
+    write_bench("shellvm", {
         "campaign": "shellvm-smoke",
         "trials": trials,
         "byte_identical": byte_identical,
+        "cache_stats": hotpath.stats(),
+    }, {
         "shell_cycle": {
             "interp_ms": round(interp_cycle * 1e3, 3),
             "compiled_ms": round(compiled_cycle * 1e3, 3),
@@ -184,13 +182,7 @@ def test_bench_shellvm():
                                                  3)},
             "speedup": round(interp_wall / compiled_wall, 2),
         },
-        "cache_stats": hotpath.stats(),
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "BENCH_shellvm.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-    print()
-    print(json.dumps(payload, indent=2))
+    })
 
     assert byte_identical, \
         "compiled campaign diverged from the interpreter oracle"

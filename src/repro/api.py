@@ -72,7 +72,7 @@ def run_experiment(tbl_text, *, experiment=None, mof_text=None,
 
 def run_campaign(tbl_text, *, mof_text=None, database=None, node_count=36,
                  experiments=None, jobs=1, backend=None, tracer=None,
-                 replace=True, on_result=None, on_progress=None,
+                 on_result=None, on_progress=None,
                  tbl_source="<campaign>", faults=None, retry=None,
                  resume=False, fidelity=DES):
     """Run a TBL spec's experiments into a results database.
@@ -98,10 +98,9 @@ def run_campaign(tbl_text, *, mof_text=None, database=None, node_count=36,
                                    node_count=node_count,
                                    tbl_source=tbl_source, tracer=tracer,
                                    faults=faults, retry=retry)
-    return campaign.run(experiments, on_result=on_result,
-                        replace=replace, jobs=jobs, backend=backend,
-                        on_progress=on_progress, resume=resume,
-                        fidelity=fidelity)
+    return campaign.run(experiments, on_result=on_result, jobs=jobs,
+                        backend=backend, on_progress=on_progress,
+                        resume=resume, fidelity=fidelity)
 
 
 def resume_campaign(database, *, jobs=1, backend=None, tracer=None,
@@ -153,7 +152,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
 
 def run_adaptive(tbl_text, *, policy="knee", budget=None, experiment=None,
                  mof_text=None, database=None, node_count=36, jobs=1,
-                 backend=None, tracer=None, replace=True, on_result=None,
+                 backend=None, tracer=None, on_result=None,
                  on_progress=None, tbl_source="<campaign>", faults=None,
                  retry=None, resume=False, fidelity=DES):
     """Explore one TBL experiment with a closed-loop planner policy.
@@ -183,8 +182,8 @@ def run_adaptive(tbl_text, *, policy="knee", budget=None, experiment=None,
     return campaign.run_adaptive(policy, experiment_name=experiment,
                                  budget=budget, jobs=jobs, backend=backend,
                                  on_result=on_result,
-                                 on_progress=on_progress, replace=replace,
-                                 resume=resume, fidelity=fidelity)
+                                 on_progress=on_progress, resume=resume,
+                                 fidelity=fidelity)
 
 
 def plan_campaign(tbl_text, *, policy="knee", budget=None, experiment=None,

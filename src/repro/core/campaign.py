@@ -13,21 +13,16 @@ the sweep; give :meth:`run` ``resume=True`` and trials already in the
 database are skipped, so an interrupted campaign finishes from its
 checkpoint — the database itself — running exactly the missing trials.
 
-Since the campaign service plane landed, a campaign is explicitly two
-halves:
-
-- :class:`CampaignState` — the *state*: parsed spec, resource model,
-  validation warnings, fault/retry identity, the task frontier and the
-  ``campaign_meta`` checkpoint.  A controller can hold hundreds of
-  these for queued campaigns; none of them owns a cluster or a worker.
-- :class:`ObservationCampaign` — the *execution*: a cluster, a runner,
-  and the run loops.  Every trial batch goes to an *executor* — anything
-  with ``run_tasks(tasks, on_result)`` returning results in task order.
-  By default that is the campaign's own runner at ``jobs=1`` or a
-  :class:`~repro.experiments.scheduler.TrialScheduler` pool of its
-  clones otherwise (:func:`~repro.experiments.scheduler.executor_for`
-  decides); the ``repro serve`` daemon injects a fleet lease instead,
-  to run many campaigns' trials on one shared worker fleet.
+One :class:`ObservationCampaign` holds everything a campaign is: the
+parsed spec, resource model and validation warnings, the fault/retry
+identity, the ``campaign_meta`` checkpoint, and the cluster and runner
+its trials execute on.  Every trial batch goes to an *executor* —
+anything with ``run_tasks(tasks, on_result)`` returning results in task
+order.  By default that is the campaign's own runner at ``jobs=1`` or a
+:class:`~repro.experiments.scheduler.TrialScheduler` pool of its clones
+otherwise (:func:`~repro.experiments.scheduler.executor_for` decides);
+the ``repro serve`` daemon injects a fleet lease instead, to run many
+campaigns' trials on one shared worker fleet.
 """
 
 from __future__ import annotations
@@ -50,6 +45,7 @@ from repro.experiments.scheduler import (
     calc_parallel_jobs,
     enumerate_tasks,
     executor_for,
+    run_unstored,
 )
 from repro.results.database import ResultsDatabase
 from repro.sim import ANALYTIC, AUTO, DES, check_fidelity
@@ -150,20 +146,32 @@ class CampaignReport:
         return text
 
 
-class CampaignState:
-    """The separable state of one campaign — no cluster, no workers.
+class ObservationCampaign:
+    """End-to-end campaign bound to one TBL spec and one cluster.
 
-    Everything a controller must hold for a queued, running or
-    interrupted campaign: the parsed spec and resource model, the
-    validation warnings, the fault/retry identity, and the operations
-    over them — experiment selection, task enumeration, resume
-    filtering, and the ``campaign_meta`` checkpoint.  Execution state
-    (worker leases, clusters, runners) deliberately lives elsewhere;
-    see :class:`ObservationCampaign`.
+    Everything after *tbl_text* is keyword-only.  The constructor
+    parses the spec, renders (or takes) the resource MOF, validates the
+    spec against it and checks that the cluster's *node_count* fits the
+    largest topology.  A *tracer* makes every trial of the campaign
+    record its lifecycle span tree into the database's ``spans`` table.
+
+    *faults* arms a :class:`~repro.faults.FaultPlan` on every runner of
+    the campaign (the chaos mode); *retry* sets the
+    :class:`~repro.faults.RetryPolicy` governing failed attempts — an
+    int is shorthand for "this many attempts".  Without *retry*, any
+    trial failure propagates exactly as before the fault plane existed.
+
+    *tenant* names the campaign on a shared cache plane (the daemon
+    sets it to the campaign id): hot-path statistics recorded at the
+    end of a run are then the campaign's own attribution, not the
+    plane-wide totals.
     """
 
-    def __init__(self, tbl_text, *, mof_text=None, node_count=36,
-                 tbl_source="<campaign>", faults=None, retry=None):
+    def __init__(self, tbl_text, *, mof_text=None, database=None,
+                 node_count=36, tbl_source="<campaign>", tracer=None,
+                 faults=None, retry=None, tenant=None):
+        self.tracer = as_tracer(tracer)
+        self.tenant = tenant
         self.tbl_text = tbl_text
         self.spec = parse_tbl(tbl_text, source=tbl_source)
         if mof_text is None:
@@ -183,6 +191,42 @@ class CampaignState:
                 f"spec needs up to {needed} machines but the campaign "
                 f"cluster has only {node_count} nodes"
             )
+        self.cluster = VirtualCluster(self.spec.platform,
+                                      node_count=node_count)
+        self.runner = ExperimentRunner(cluster=self.cluster,
+                                       resource_model=self.resource_model,
+                                       tracer=self.tracer,
+                                       faults=self.fault_plan,
+                                       retry=self.retry_policy,
+                                       tenant=tenant)
+        self.database = database if database is not None \
+            else ResultsDatabase()
+
+    @classmethod
+    def from_database(cls, database, *, tracer=None, tenant=None):
+        """Rebuild a campaign from a database's persisted meta — the
+        engine behind ``repro resume <db>``, the daemon's resume and
+        ``repro heal``."""
+        tbl_text = database.get_meta(META_TBL)
+        if tbl_text is None:
+            raise ExperimentError(
+                "database carries no campaign meta; it predates the "
+                "fault plane or was not produced by run_campaign"
+            )
+        plan_json = database.get_meta(META_FAULT_PLAN)
+        retry_json = database.get_meta(META_RETRY)
+        return cls(
+            tbl_text,
+            mof_text=database.get_meta(META_MOF),
+            database=database,
+            node_count=int(database.get_meta(META_NODE_COUNT, 36)),
+            tbl_source="<resume>",
+            tracer=tracer,
+            faults=FaultPlan.from_json(plan_json) if plan_json else None,
+            retry=RetryPolicy.from_dict(json.loads(retry_json))
+            if retry_json else None,
+            tenant=tenant,
+        )
 
     def select_experiments(self, experiment_names=None):
         """The experiments a fixed-grid run covers (all by default)."""
@@ -194,11 +238,6 @@ class CampaignState:
             raise ExperimentError("campaign selects no experiments")
         return experiments
 
-    def select_experiment(self, name=None):
-        """The one experiment an adaptive exploration or a heal
-        targets (see :meth:`TestbedSpec.experiment`)."""
-        return self.spec.experiment(name)
-
     def enumerate_plan(self, experiments, fidelity=DES):
         """Every trial of *experiments* as TrialTasks, in sweep order."""
         tasks = []
@@ -207,13 +246,6 @@ class CampaignState:
                                          start_index=len(tasks),
                                          fidelity=fidelity))
         return tasks
-
-    def pending(self, tasks, database):
-        """``(remaining, skipped)`` after resume-filtering *tasks*
-        against what *database* already stores."""
-        done = set(database.trial_keys())
-        remaining = [t for t in tasks if t.key() not in done]
-        return remaining, len(tasks) - len(remaining)
 
     def record_meta(self, database):
         """Persist the campaign's identity so ``repro resume <db>`` (or
@@ -228,107 +260,9 @@ class CampaignState:
                               json.dumps(self.retry_policy.to_dict(),
                                          sort_keys=True))
 
-    @classmethod
-    def from_database(cls, database):
-        """Rebuild campaign state from a database's persisted meta."""
-        tbl_text = database.get_meta(META_TBL)
-        if tbl_text is None:
-            raise ExperimentError(
-                "database carries no campaign meta; it predates the "
-                "fault plane or was not produced by run_campaign"
-            )
-        plan_json = database.get_meta(META_FAULT_PLAN)
-        retry_json = database.get_meta(META_RETRY)
-        return cls(
-            tbl_text,
-            mof_text=database.get_meta(META_MOF),
-            node_count=int(database.get_meta(META_NODE_COUNT, 36)),
-            tbl_source="<resume>",
-            faults=FaultPlan.from_json(plan_json) if plan_json else None,
-            retry=RetryPolicy.from_dict(json.loads(retry_json))
-            if retry_json else None,
-        )
-
-
-class ObservationCampaign:
-    """End-to-end campaign bound to one TBL spec and one cluster.
-
-    Everything after *tbl_text* is keyword-only; a *tracer* makes every
-    trial of the campaign record its lifecycle span tree into the
-    database's ``spans`` table.
-
-    *faults* arms a :class:`~repro.faults.FaultPlan` on every runner of
-    the campaign (the chaos mode); *retry* sets the
-    :class:`~repro.faults.RetryPolicy` governing failed attempts — an
-    int is shorthand for "this many attempts".  Without *retry*, any
-    trial failure propagates exactly as before the fault plane existed.
-
-    *tenant* names the campaign on a shared cache plane (the daemon
-    sets it to the campaign id): hot-path statistics recorded at the
-    end of a run are then the campaign's own attribution, not the
-    plane-wide totals.
-    """
-
-    def __init__(self, tbl_text, *, mof_text=None, database=None,
-                 node_count=36, tbl_source="<campaign>", tracer=None,
-                 faults=None, retry=None, state=None, tenant=None):
-        self.tracer = as_tracer(tracer)
-        self.tenant = tenant
-        if state is None:
-            state = CampaignState(tbl_text, mof_text=mof_text,
-                                  node_count=node_count,
-                                  tbl_source=tbl_source,
-                                  faults=faults, retry=retry)
-        self.state = state
-        self.cluster = VirtualCluster(self.spec.platform,
-                                      node_count=self.node_count)
-        self.runner = ExperimentRunner(cluster=self.cluster,
-                                       resource_model=self.resource_model,
-                                       tracer=self.tracer,
-                                       faults=self.fault_plan,
-                                       retry=self.retry_policy,
-                                       tenant=tenant)
-        self.database = database if database is not None \
-            else ResultsDatabase()
-
-    # The state half is the source of truth for campaign identity;
-    # these properties keep the historical attribute surface intact.
-
-    @property
-    def tbl_text(self):
-        return self.state.tbl_text
-
-    @property
-    def mof_text(self):
-        return self.state.mof_text
-
-    @property
-    def spec(self):
-        return self.state.spec
-
-    @property
-    def node_count(self):
-        return self.state.node_count
-
-    @property
-    def fault_plan(self):
-        return self.state.fault_plan
-
-    @property
-    def retry_policy(self):
-        return self.state.retry_policy
-
-    @property
-    def resource_model(self):
-        return self.state.resource_model
-
-    @property
-    def validation_warnings(self):
-        return self.state.validation_warnings
-
-    def run(self, experiment_names=None, *, on_result=None, replace=True,
-            jobs=1, backend=None, on_progress=None, resume=False,
-            executor=None, fidelity=DES):
+    def run(self, experiment_names=None, *, on_result=None, jobs=1,
+            backend=None, on_progress=None, resume=False, executor=None,
+            fidelity=DES):
         """Run the spec's experiments, storing every trial.
 
         *experiment_names* restricts to a subset; *on_result* is a
@@ -352,72 +286,217 @@ class ObservationCampaign:
         count lands in the report.)  With resume the stored rows keep
         their original positions; only the remainder is executed.
         """
+        def plan(report, fidelity):
+            if fidelity == AUTO:
+                raise ExperimentError(
+                    "fidelity 'auto' is an adaptive-exploration mode; a "
+                    "fixed-grid run takes 'des' or 'analytic' — use "
+                    "run_adaptive (repro explore) for tiered exploration")
+            experiments = self.select_experiments(experiment_names)
+            if fidelity == ANALYTIC:
+                # Fail before any trial runs: a time-varying arrival
+                # makes the whole grid DES-only, and the typed refusal
+                # belongs to the campaign, not to whichever task hits
+                # it first.
+                for experiment in experiments:
+                    require_analytic_support(
+                        getattr(experiment, "arrival", None))
+            report.experiments.extend(e.name for e in experiments)
+            return fidelity, self.enumerate_plan(experiments,
+                                                 fidelity=fidelity), None
+
+        return self._run(plan, fidelity=fidelity, jobs=jobs,
+                         resume=resume, executor=executor, backend=backend,
+                         on_result=on_result, on_progress=on_progress)
+
+    def run_adaptive(self, policy="knee", *, experiment_name=None,
+                     budget=None, jobs=1, backend=None, on_result=None,
+                     on_progress=None, resume=False, executor=None,
+                     fidelity=DES):
+        """Run one experiment family as a closed exploration loop.
+
+        Instead of the fixed grid :meth:`run` executes, a planner
+        *policy* (a name from ``repro.planner.POLICY_NAMES`` or a
+        :class:`~repro.planner.Policy` instance) proposes trial batches
+        round by round, observing each round's results before choosing
+        the next — the paper's "observations steer the next
+        configuration" methodology.  *budget* caps executed trials.
+
+        Every decision lands in the ``planner_decisions`` table and the
+        policy/budget/experiment identity in ``campaign_meta``, so
+        ``repro resume`` on a killed exploration replays the loop: the
+        decisions are pure functions of recorded observations, trials
+        already stored are fed back from the database instead of
+        re-running (``resume=True``), and the finished database is
+        byte-identical to an uninterrupted run's at any worker count.
+
+        Every planner round's batch runs on the same executor (see
+        :meth:`run`): one pool, opened before the first round and
+        closed after the last, so workers warm once.
+        """
+        from repro.planner import AdaptivePlanner, make_policy
+
+        def plan(report, fidelity):
+            experiment = self.spec.experiment(experiment_name)
+            report.experiments.append(experiment.name)
+            if fidelity == AUTO and not analytic_supported(
+                    getattr(experiment, "arrival", None)):
+                # Time-varying arrivals are DES-only: the tiered
+                # composition's analytic exploration pass cannot model
+                # them, so "auto" degrades to a pure-DES exploration
+                # rather than crashing mid-campaign.
+                if isinstance(policy, str):
+                    fidelity = DES
+                    if on_progress is not None:
+                        on_progress(
+                            f"[{experiment.name}] arrival "
+                            f"{experiment.arrival.kind!r} is DES-only; "
+                            f"fidelity auto degrades to des")
+                else:
+                    require_analytic_support(experiment.arrival)
+            policy_obj = make_policy(policy, budget=budget,
+                                     fidelity=fidelity)
+            db = self.database
+
+            def record_round(round_no, decisions):
+                db.insert_decisions(
+                    (round_no, seq, policy_obj.name, experiment.name,
+                     decision.action, decision.topology,
+                     decision.workload, decision.write_ratio,
+                     decision.reason, decision.fidelity)
+                    for seq, decision in enumerate(decisions))
+                if on_progress is not None:
+                    measures = sum(1 for d in decisions
+                                   if d.action == "measure")
+                    on_progress(
+                        f"[{experiment.name}] planner round {round_no}: "
+                        f"{measures} point(s) proposed, "
+                        f"{len(decisions) - measures} other decision(s)")
+
+            def explore(execute):
+                db.set_meta(META_PLANNER_POLICY, policy_obj.name)
+                db.set_meta(META_PLANNER_EXPERIMENT, experiment.name)
+                if budget is not None:
+                    db.set_meta(META_PLANNER_BUDGET, budget)
+                # The loop replays from scratch on resume (decisions are
+                # pure functions of observations), so the log is
+                # rewritten wholesale — a resumed exploration's log
+                # matches an uninterrupted one.
+                db.clear_planner_decisions()
+                outcome = AdaptivePlanner(
+                    experiment, policy_obj, tracer=self.tracer,
+                ).run(execute, on_round=record_round)
+                report.policy = policy_obj.name
+                report.rounds = outcome.rounds
+                report.pruned = outcome.pruned_points
+                report.outcome = outcome
+
+            return fidelity, None, explore
+
+        return self._run(plan, fidelity=fidelity, jobs=jobs,
+                         resume=resume, executor=executor, backend=backend,
+                         on_result=on_result, on_progress=on_progress)
+
+    def _run(self, plan, *, fidelity, jobs, resume, executor, backend,
+             on_result, on_progress):
+        """The steps every campaign run takes, stated once.
+
+        *plan(report, fidelity)* is the run's own part: it selects the
+        experiments (naming them in *report*), may refuse the requested
+        *fidelity* or degrade it, and returns ``(fidelity, tasks,
+        explore)``.  A fixed grid returns its *tasks* and no *explore*;
+        an exploration returns ``tasks=None`` and ``explore(execute)``,
+        which hands the planner's batches to ``execute(batch)``.
+
+        Around that: the fidelity check and the wall-clock start, the
+        ``jobs`` resolution and preflight, the ``campaign_meta``
+        checkpoint, the resume rule (:func:`run_unstored`) over what the
+        database stores, the write-behind ingest flushed on every exit
+        path, and the cache stats and run card of a finished run.
+        """
         check_fidelity(fidelity)
-        if fidelity == AUTO:
-            raise ExperimentError(
-                "fidelity 'auto' is an adaptive-exploration mode; a "
-                "fixed-grid run takes 'des' or 'analytic' — use "
-                "run_adaptive (repro explore) for tiered exploration")
         started = time.perf_counter()
         report = CampaignReport(warnings=list(self.validation_warnings),
                                 database=self.database)
-        experiments = self.state.select_experiments(experiment_names)
-        if fidelity == ANALYTIC:
-            # Fail before any trial runs: a time-varying arrival makes
-            # the whole grid DES-only, and the typed refusal belongs to
-            # the campaign, not to whichever task hits it first.
-            for experiment in experiments:
-                require_analytic_support(
-                    getattr(experiment, "arrival", None))
-        report.experiments.extend(e.name for e in experiments)
-        tasks = self.state.enumerate_plan(experiments, fidelity=fidelity)
-        jobs = self._resolve_jobs(jobs, trial_count=len(tasks))
+        fidelity, tasks, explore = plan(report, fidelity)
+        if jobs == "auto":
+            # Resolved here, not in the CLI, so every entry point — api,
+            # daemon, service submits — gets the same sizing.
+            jobs = calc_parallel_jobs(
+                node_count=self.node_count,
+                trial_count=None if tasks is None else len(tasks))
         self._preflight(jobs)
-        if resume:
-            tasks, report.skipped = self.state.pending(tasks,
-                                                       self.database)
-            self.tracer.count("campaign.trials_skipped", report.skipped)
-        self.state.record_meta(self.database)
+        self.record_meta(self.database)
         self.database.set_meta(META_FIDELITY, fidelity)
-        store, flush_tail = self._ingest(report, replace=replace,
-                                         on_result=on_result,
-                                         on_progress=on_progress,
-                                         total=len(tasks))
+        if not resume:
+            stored = {}
+        elif tasks is not None:     # a grid needs only the stored keys
+            stored = dict.fromkeys(self.database.trial_keys())
+        else:       # a replayed planner observes the stored results
+            stored = {result.trial_key(): result
+                      for name in report.experiments
+                      for result in self.database.query(
+                          experiment_name=name)}
+        store, flush_tail = self._ingest(report, on_result=on_result,
+                                         on_progress=on_progress)
+
+        def execute(batch, run):
+            results, skipped = run_unstored(batch, stored, run)
+            if skipped:
+                report.skipped += skipped
+                self.tracer.count("campaign.trials_skipped", skipped)
+            return results
+
+        def open_executor(work=None):
+            # An injected executor (a fleet lease) as it is, otherwise
+            # executor_for's choice over this campaign's runner: the
+            # runner itself or a pool of its clones, capped at *work*.
+            if executor is not None:
+                return nullcontext(executor)
+            return executor_for(self.runner, jobs=jobs, backend=backend,
+                                work=work)
+
+        def run_grid(missing):
+            # The pool is sized to the trials left to run, and progress
+            # lines count against them.
+            with open_executor(work=len(missing)) as trials:
+                return trials.run_tasks(
+                    missing, lambda result: store(result, len(missing)))
+
         try:
-            with self._executor(executor, jobs, backend,
-                                work=len(tasks)) as trials:
-                trials.run_tasks(tasks, store)
+            if explore is None:
+                execute(tasks, run_grid)
+            else:
+                with open_executor() as trials:
+                    explore(lambda batch: execute(
+                        batch, lambda missing: trials.run_tasks(missing,
+                                                                store)))
         finally:
             # The tail batch — and, on an aborted campaign, everything
             # delivered so far, so resume finds every stored trial.
             flush_tail()
-        self._record_cache_stats(report)
+        # Cache effectiveness, observable per run; a tenant-scoped
+        # campaign records its own attribution, since on a shared daemon
+        # the plane-wide totals belong to no one campaign.
+        report.cache_stats = hotpath.stats(tenant=self.tenant)
+        self.database.set_meta(
+            META_CACHE_STATS, json.dumps(report.cache_stats, sort_keys=True))
         self._record_run_card(report, jobs=jobs, fidelity=fidelity,
                               wall_s=time.perf_counter() - started)
         return report
 
-    def _executor(self, executor, jobs, backend, work=None):
-        """The executor a run's trial batches go to, as a context
-        manager: an injected *executor* (a fleet lease) as it is,
-        otherwise :func:`executor_for`'s choice over this campaign's
-        runner — the runner itself or a pool of its clones, capped at
-        *work* tasks where that is known up front."""
-        if executor is not None:
-            return nullcontext(executor)
-        return executor_for(self.runner, jobs=jobs, backend=backend,
-                            work=work)
-
-    def _ingest(self, report, *, replace, on_result, on_progress, total):
-        """The write-behind store shared by :meth:`run` and
-        :meth:`run_adaptive`: a ``store(result)`` closure plus the
-        ``flush_tail()`` the caller must invoke on every exit path.
+    def _ingest(self, report, *, on_result, on_progress):
+        """The write-behind store every run writes through: a
+        ``store(result, total=None)`` closure plus the ``flush_tail()``
+        the caller must invoke on every exit path.
 
         Counts are aggregated under a lock because scheduler
         configurations may invoke ``store`` from worker threads.
         Results buffer in arrival (= submission) order and flush to the
-        database in single-transaction batches of :data:`INGEST_BATCH`.
-        *total* may be None (adaptive campaigns don't know theirs up
-        front); progress lines then show the running count alone.
+        database in single-transaction batches of :data:`INGEST_BATCH`,
+        replacing any stored trial of the same key.  *total* is the
+        trial count progress lines show; an exploration does not know
+        its own up front, so its lines show the running count alone.
         """
         lock = threading.Lock()
         pending = []
@@ -425,14 +504,14 @@ class ObservationCampaign:
         def flush_pending():
             # Caller holds `lock`.
             if pending:
-                self.database.insert_many(pending, replace=replace)
+                self.database.insert_many(pending, replace=True)
                 del pending[:]
 
         def flush_tail():
             with lock:
                 flush_pending()
 
-        def store(result):
+        def store(result, total=None):
             with lock:
                 pending.append(result)
                 if len(pending) >= INGEST_BATCH:
@@ -467,23 +546,13 @@ class ObservationCampaign:
 
         return store, flush_tail
 
-    def _resolve_jobs(self, jobs, trial_count=None):
-        """``"auto"`` -> a topology-aware worker count; ints pass
-        through.  Resolution happens here (not in the CLI) so every
-        entry point — api, daemon, service submits — gets the same
-        sizing."""
-        if jobs == "auto":
-            return calc_parallel_jobs(node_count=self.node_count,
-                                      trial_count=trial_count)
-        return jobs
-
     def _preflight(self, jobs):
         """Fail fast on misconfigurations no trial should pay for —
         most notably a mistyped ``REPRO_SHELLVM``, which the engine
         selector would otherwise silently resolve to the compiled
         default."""
-        problems = provenance.preflight(
-            self.state, jobs=jobs, database_path=self.database.path)
+        problems = provenance.preflight(jobs=jobs,
+                                        database_path=self.database.path)
         if problems:
             raise ExperimentError(
                 "campaign preflight failed: " + "; ".join(problems))
@@ -500,141 +569,12 @@ class ObservationCampaign:
         from repro.shellvm.interpreter import engine_mode
 
         card = provenance.build_run_card(
-            report=report, state=self.state, engine=engine_mode(),
+            report=report, campaign=self, engine=engine_mode(),
             jobs=jobs, fidelity=fidelity, wall_s=wall_s)
         self.database.insert_run_card(card)
         provenance.export_run_card(card, self.database.path)
         if self.tenant is not None:     # the card holds its attribution
             hotpath.forget_tenant(self.tenant)
-
-    def _record_cache_stats(self, report):
-        """Capture hot-path cache counters into the report and the
-        database meta, so cache effectiveness is observable per run.
-        A tenant-scoped campaign records its own attribution — on a
-        shared daemon the plane-wide totals belong to no one campaign.
-        """
-        report.cache_stats = hotpath.stats(tenant=self.tenant)
-        self.database.set_meta(
-            META_CACHE_STATS,
-            json.dumps(report.cache_stats, sort_keys=True))
-
-    def run_adaptive(self, policy="knee", *, experiment_name=None,
-                     budget=None, jobs=1, backend=None, on_result=None,
-                     on_progress=None, replace=True, resume=False,
-                     executor=None, fidelity=DES):
-        """Run one experiment family as a closed exploration loop.
-
-        Instead of the fixed grid :meth:`run` executes, a planner
-        *policy* (a name from ``repro.planner.POLICY_NAMES`` or a
-        :class:`~repro.planner.Policy` instance) proposes trial batches
-        round by round, observing each round's results before choosing
-        the next — the paper's "observations steer the next
-        configuration" methodology.  *budget* caps executed trials.
-
-        Every decision lands in the ``planner_decisions`` table and the
-        policy/budget/experiment identity in ``campaign_meta``, so
-        ``repro resume`` on a killed exploration replays the loop: the
-        decisions are pure functions of recorded observations, trials
-        already stored are fed back from the database instead of
-        re-running (``resume=True``), and the finished database is
-        byte-identical to an uninterrupted run's at any worker count.
-
-        Every planner round's batch runs on the same executor (see
-        :meth:`run`): one pool, opened before the first round and
-        closed after the last, so workers warm once.
-        """
-        from repro.planner import AdaptivePlanner, make_policy
-
-        check_fidelity(fidelity)
-        started = time.perf_counter()
-        jobs = self._resolve_jobs(jobs)
-        self._preflight(jobs)
-        report = CampaignReport(warnings=list(self.validation_warnings),
-                                database=self.database)
-        experiment = self.state.select_experiment(experiment_name)
-        report.experiments.append(experiment.name)
-        if fidelity == AUTO and not analytic_supported(
-                getattr(experiment, "arrival", None)):
-            # Time-varying arrivals are DES-only: the tiered
-            # composition's analytic exploration pass cannot model
-            # them, so "auto" degrades to a pure-DES exploration
-            # rather than crashing mid-campaign.
-            if isinstance(policy, str):
-                fidelity = DES
-                if on_progress is not None:
-                    on_progress(
-                        f"[{experiment.name}] arrival "
-                        f"{experiment.arrival.kind!r} is DES-only; "
-                        f"fidelity auto degrades to des")
-            else:
-                require_analytic_support(experiment.arrival)
-        policy_obj = make_policy(policy, budget=budget, fidelity=fidelity)
-        self.state.record_meta(self.database)
-        db = self.database
-        db.set_meta(META_PLANNER_POLICY, policy_obj.name)
-        db.set_meta(META_PLANNER_EXPERIMENT, experiment.name)
-        db.set_meta(META_FIDELITY, fidelity)
-        if budget is not None:
-            db.set_meta(META_PLANNER_BUDGET, budget)
-        # The loop replays from scratch on resume (decisions are pure
-        # functions of observations), so the log is rewritten wholesale
-        # — a resumed exploration's log matches an uninterrupted one.
-        db.clear_planner_decisions()
-        done = {}
-        if resume:
-            for result in db.query(experiment_name=experiment.name):
-                done[result.trial_key()] = result
-        store, flush_tail = self._ingest(report, replace=replace,
-                                         on_result=on_result,
-                                         on_progress=on_progress,
-                                         total=None)
-
-        def execute(trials, tasks):
-            missing = [task for task in tasks if task.key() not in done]
-            skipped = len(tasks) - len(missing)
-            if skipped:
-                report.skipped += skipped
-                self.tracer.count("campaign.trials_skipped", skipped)
-            delivered = {}
-            if missing:
-                for task, result in zip(missing,
-                                        trials.run_tasks(missing, store)):
-                    delivered[task.key()] = result
-            return [done[task.key()] if task.key() in done
-                    else delivered[task.key()] for task in tasks]
-
-        def record_round(round_no, decisions):
-            db.insert_decisions(
-                (round_no, seq, policy_obj.name, experiment.name,
-                 decision.action, decision.topology, decision.workload,
-                 decision.write_ratio, decision.reason,
-                 decision.fidelity)
-                for seq, decision in enumerate(decisions))
-            if on_progress is not None:
-                measures = sum(1 for d in decisions
-                               if d.action == "measure")
-                on_progress(
-                    f"[{experiment.name}] planner round {round_no}: "
-                    f"{measures} point(s) proposed, "
-                    f"{len(decisions) - measures} other decision(s)")
-
-        planner = AdaptivePlanner(experiment, policy_obj,
-                                  tracer=self.tracer)
-        try:
-            with self._executor(executor, jobs, backend) as trials:
-                outcome = planner.run(
-                    lambda tasks: execute(trials, tasks),
-                    on_round=record_round)
-        finally:
-            flush_tail()
-        report.policy = policy_obj.name
-        report.rounds = outcome.rounds
-        report.pruned = outcome.pruned_points
-        report.outcome = outcome
-        self._record_cache_stats(report)
-        self._record_run_card(report, jobs=jobs, fidelity=fidelity,
-                              wall_s=time.perf_counter() - started)
-        return report
 
     def resume(self, experiment_names=None, *, policy=None, budget=None,
                experiment=None, fidelity=None, **run_kwargs):
@@ -663,18 +603,6 @@ class ObservationCampaign:
         return self.run_adaptive(policy, experiment_name=experiment,
                                  budget=budget, resume=True,
                                  fidelity=fidelity, **run_kwargs)
-
-    @classmethod
-    def from_database(cls, database, *, tracer=None, tenant=None):
-        """Rebuild a campaign from a database's persisted meta — the
-        engine behind ``repro resume <db>`` and the daemon's resume."""
-        return cls(
-            None,
-            state=CampaignState.from_database(database),
-            database=database,
-            tracer=tracer,
-            tenant=tenant,
-        )
 
     def performance_map(self, experiment_name=None):
         """A :class:`PerformanceMap` over this campaign's observations."""

@@ -39,9 +39,9 @@ class FigureResult:
     results: list = field(default_factory=list)
     tbl_source: str = ""
 
-    def store(self, database, replace=True):
+    def store(self, database):
         for result in self.results:
-            database.insert(result, replace=replace)
+            database.insert(result, replace=True)
         return database
 
 

@@ -20,7 +20,8 @@ on_result=None)``, with three implementations: the
 sequential ``jobs=1`` executor), the :class:`TrialScheduler` pool, and
 the daemon's :class:`~repro.service.fleet.FleetLease`.
 :func:`executor_for` makes the ``jobs`` decision between the first two
-once, for every caller.
+once, for every caller, and :func:`run_unstored` states the resume rule
+every resumable batch follows.
 
 Backends: ``"thread"`` shares the interpreter (cheap, but serialized by
 the GIL for this CPU-bound simulation) and ``"process"`` forks one
@@ -380,3 +381,24 @@ def executor_for(runner, *, jobs, backend=None, work=None):
     with TrialScheduler(runner.clone, jobs=jobs, backend=backend,
                         tracer=runner.tracer) as scheduler:
         yield scheduler
+
+
+def run_unstored(tasks, stored, run):
+    """The resume rule, stated once: run only the *tasks* whose
+    :class:`TrialKey` is not in *stored*.
+
+    ``run(missing)`` executes the missing tasks and returns their
+    results in order (it is called only when a task is missing, so a
+    caller may open its executor there, sized to the batch).  Returns
+    ``(results, skipped)``: *results* in task order — a stored task's
+    ``stored[key]``, the rest as *run* delivered them — and the number
+    of tasks found stored.
+    """
+    keys = [task.key() for task in tasks]
+    missing = [index for index, key in enumerate(keys) if key not in stored]
+    results = [stored.get(key) for key in keys]
+    if missing:
+        delivered = run([tasks[index] for index in missing])
+        for index, result in zip(missing, delivered):
+            results[index] = result
+    return results, len(tasks) - len(missing)

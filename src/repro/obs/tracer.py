@@ -55,7 +55,7 @@ OK = "ok"
 ERROR = "error"
 
 
-@dataclass(slots=True)
+@dataclass
 class Span:
     """One timed operation, possibly with children."""
 

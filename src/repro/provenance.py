@@ -66,12 +66,12 @@ def table_digests(database):
     return digests
 
 
-def build_run_card(*, report, state, engine, jobs, fidelity,
+def build_run_card(*, report, campaign, engine, jobs, fidelity,
                    command=None, environment=None, wall_s=None):
     """Assemble the run-card dict for one finished campaign run.
 
-    *report* is the :class:`CampaignReport`, *state* the
-    :class:`CampaignState` that ran.  *command* defaults to this
+    *report* is the :class:`CampaignReport`, *campaign* the
+    :class:`ObservationCampaign` that ran.  *command* defaults to this
     process's argv; *environment* to the ``REPRO_*`` variables that
     influence execution.  The result is JSON-ready (sorted keys give
     the canonical form via :func:`canonical_json`).
@@ -93,20 +93,20 @@ def build_run_card(*, report, state, engine, jobs, fidelity,
         },
         "environment": environment,
         "parameters": {
-            "node_count": state.node_count,
+            "node_count": campaign.node_count,
             "jobs": jobs,
             "fidelity": fidelity,
             "experiments": sorted(report.by_experiment),
             "scenarios": sorted({
                 experiment.scenario
-                for experiment in state.spec.experiments
+                for experiment in campaign.spec.experiments
                 if experiment.scenario}),
-            "fault_plan": state.fault_plan is not None,
-            "retry_policy": state.retry_policy is not None,
+            "fault_plan": campaign.fault_plan is not None,
+            "retry_policy": campaign.retry_policy is not None,
         },
         "inputs": {
-            "tbl_sha256": _sha256(state.tbl_text),
-            "mof_sha256": _sha256(state.mof_text),
+            "tbl_sha256": _sha256(campaign.tbl_text),
+            "mof_sha256": _sha256(campaign.mof_text),
         },
         "results": {
             "trials": report.trials,
@@ -168,13 +168,13 @@ def verify_run_card(card, database):
 KNOWN_ENGINE_VALUES = ("", "interp", "interpreter", "compiled")
 
 
-def preflight(state, *, jobs=1, database_path=None):
+def preflight(*, jobs=1, database_path=None):
     """Cheap pre-run checks; returns a list of problem strings.
 
     Fatal misconfigurations (bad jobs, unwritable database directory)
     and silent ones (a mistyped engine selector) are caught before the
-    first trial allocates a cluster.  Spec validation warnings are not
-    repeated here — the campaign already reports those.
+    first trial runs.  Spec validation warnings and the node budget are
+    not checked here — the campaign's constructor does both.
     """
     problems = []
     if not isinstance(jobs, int) or jobs < 1:
@@ -185,12 +185,6 @@ def preflight(state, *, jobs=1, database_path=None):
             f"REPRO_SHELLVM={engine!r} is not a known engine "
             f"(interp/compiled); the selector would silently fall back "
             f"to the compiled engine"
-        )
-    needed = max(e.max_machine_count() for e in state.spec.experiments)
-    if needed > state.node_count:
-        problems.append(
-            f"spec needs up to {needed} machines but the cluster has "
-            f"only {state.node_count} nodes"
         )
     if database_path not in (None, ":memory:"):
         parent = pathlib.Path(database_path).resolve().parent

@@ -33,12 +33,17 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from repro.core.campaign import CampaignState
+from repro.core.campaign import ObservationCampaign
 from repro.core.capacity import CapacityPlanner
 from repro.core.characterization import PerformanceMap
 from repro.errors import AllocationError, RemedyError, ResultsError
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scheduler import THREAD, TrialTask, executor_for
+from repro.experiments.scheduler import (
+    THREAD,
+    TrialTask,
+    executor_for,
+    run_unstored,
+)
 from repro.obs.tracer import as_tracer
 from repro.remedy.diagnosis import Detector
 from repro.remedy.propose import PROMOTE_TIER, Proposer, apply_patch
@@ -155,10 +160,10 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
     :class:`TrialResult` actually executed (not reused).
     """
     tracer = as_tracer(tracer)
-    state = CampaignState.from_database(database)
+    campaign = ObservationCampaign.from_database(database, tracer=tracer)
     if experiment is None:
         experiment = database.get_meta(META_HEAL_EXPERIMENT)
-    exp = state.select_experiment(experiment)
+    exp = campaign.spec.experiment(experiment)
 
     def resolved(value, key, fallback, floor):
         if value is None:
@@ -184,8 +189,8 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
     report = HealReport(experiment=exp.name, budget=budget, target=target,
                         database=database)
     topologies = tuple(exp.topologies)
-    fault_plan = state.fault_plan
-    retry_policy = state.retry_policy
+    fault_plan = campaign.fault_plan
+    retry_policy = campaign.retry_policy
     detector = Detector(exp.slo, target=target)
 
     # The log replays from scratch (decisions are pure functions of
@@ -208,28 +213,26 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
 
     done = {stored.trial_key(): stored for stored in database.query()}
 
+    def store(result):
+        database.insert(result, replace=True)
+        done[result.trial_key()] = result
+        report.trials += 1
+        if on_trial is not None:
+            on_trial(result)
+
     def execute(tasks, plan, retry):
         """Run *tasks* under a candidate configuration, reusing stored
         trials; results return in task order, new ones stored as they
         arrive (the kill-anywhere checkpoint)."""
-        missing = [t for t in tasks if t.key() not in done]
-        report.reused += len(tasks) - len(missing)
         if retry is not None:
             retry = dataclasses.replace(retry,
                                         quarantine_after=_NO_QUARANTINE)
 
-        def store(result):
-            database.insert(result, replace=True)
-            done[result.trial_key()] = result
-            report.trials += 1
-            if on_trial is not None:
-                on_trial(result)
-
-        if missing:
+        def run(missing):
             runner = ExperimentRunner(
-                cluster=VirtualCluster(state.spec.platform,
-                                       node_count=state.node_count),
-                resource_model=state.resource_model, tracer=tracer,
+                cluster=VirtualCluster(campaign.spec.platform,
+                                       node_count=campaign.node_count),
+                resource_model=campaign.resource_model, tracer=tracer,
                 faults=plan, retry=retry)
             # Thread backend explicitly: each batch opens its own pool
             # for a few shadow trials, and forking workers for it made
@@ -238,8 +241,11 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
             # task (every DES confirmation) runs on the runner itself.
             with executor_for(runner, jobs=jobs, backend=THREAD,
                               work=len(missing)) as executor:
-                executor.run_tasks(missing, store)
-        return [done[task.key()] for task in tasks]
+                return executor.run_tasks(missing, store)
+
+        results, reused = run_unstored(tasks, done, run)
+        report.reused += reused
+        return results
 
     def shadow_tasks(name, topology, points, fidelity):
         shadow = dataclasses.replace(exp, name=name)
@@ -248,18 +254,18 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                 for index, (workload, write_ratio) in enumerate(points)]
 
     # Promotions must fit the platform's *typed* node pool, not just
-    # the machine count — probe against a throwaway cluster.
-    probe = VirtualCluster(state.spec.platform,
-                           node_count=state.node_count)
+    # the machine count — probe the campaign's own cluster (a preview
+    # allocates nothing, and no heal trial runs on that cluster).
+    cluster = campaign.cluster
     tier_node_types = {}
     if exp.db_node_type is not None:
-        tier_node_types["db"] = probe.platform.node_type(
+        tier_node_types["db"] = cluster.platform.node_type(
             exp.db_node_type).name
 
     def allocatable(topology):
         try:
-            probe.preview_allocation(topology,
-                                     tier_node_types=tier_node_types)
+            cluster.preview_allocation(topology,
+                                       tier_node_types=tier_node_types)
             return None
         except AllocationError as error:
             return str(error)
@@ -298,7 +304,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                 f"{len(diagnoses)} diagnosis(es) remain")
             break
 
-        proposer = Proposer(exp, fault_plan, state.node_count,
+        proposer = Proposer(exp, fault_plan, campaign.node_count,
                             allocatable=allocatable)
         candidates, rejections = proposer.propose(diagnoses)
         report.candidates += len(candidates)

@@ -70,7 +70,7 @@ class CampaignClient:
     def submit(self, tbl_text=None, *, db_path, jobs=1, policy=None,
                budget=None, experiment=None, experiments=None,
                mof_text=None, node_count=None, faults=None, retry=None,
-               replace=None, resume=False, fidelity=None):
+               resume=False, fidelity=None):
         """Submit a campaign; returns its campaign id.
 
         Mirrors :meth:`CampaignController.submit` — *faults* is a
@@ -86,8 +86,7 @@ class CampaignClient:
                            ("experiment", experiment),
                            ("experiments", experiments),
                            ("mof_text", mof_text),
-                           ("node_count", node_count),
-                           ("replace", replace), ("retry", retry),
+                           ("node_count", node_count), ("retry", retry),
                            ("fidelity", fidelity)):
             if value is not None:
                 body[key] = value

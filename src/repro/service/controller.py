@@ -111,7 +111,7 @@ class CampaignController:
     def submit(self, tbl_text=None, *, db_path, mof_text=None,
                node_count=36, jobs=1, experiments=None, policy=None,
                budget=None, experiment=None, faults=None, retry=None,
-               replace=True, resume=False, tracer=None, fidelity=None):
+               resume=False, tracer=None, fidelity=None):
         """Accept a campaign; returns its campaign id immediately.
 
         *db_path* is where the final database lands (required — a
@@ -141,8 +141,7 @@ class CampaignController:
             "mof_text": mof_text, "node_count": node_count, "jobs": jobs,
             "experiments": experiments, "policy": policy, "budget": budget,
             "experiment": experiment, "faults": faults, "retry": retry,
-            "replace": replace, "resume": resume, "tracer": tracer,
-            "fidelity": fidelity,
+            "resume": resume, "tracer": tracer, "fidelity": fidelity,
         }
         if tbl_text is None and not resume:
             raise ServiceError(
@@ -364,8 +363,7 @@ class CampaignController:
         """Dispatch to the right run loop.  A resume goes through
         :meth:`ObservationCampaign.resume`, which recovers whatever the
         submission leaves unset from the checkpoint meta."""
-        run_kwargs = {"executor": lease, "on_result": tap,
-                      "replace": sub["replace"]}
+        run_kwargs = {"executor": lease, "on_result": tap}
         if sub["resume"]:
             return campaign.resume(
                 sub["experiments"], policy=sub["policy"],

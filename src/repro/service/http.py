@@ -45,8 +45,7 @@ def _submit_kwargs(body):
     an attempt count or policy dict (the campaign normalizes both)."""
     kwargs = {"db_path": body["db_path"]}
     for key in ("mof_text", "node_count", "jobs", "experiments",
-                "policy", "budget", "experiment", "replace", "resume",
-                "fidelity"):
+                "policy", "budget", "experiment", "resume", "fidelity"):
         if key in body:
             kwargs[key] = body[key]
     faults = body.get("faults")

@@ -15,7 +15,11 @@ import pytest
 
 from repro import provenance, run_campaign
 from repro.cli import main
-from repro.core.campaign import META_TBL
+from repro.core.campaign import (
+    META_NODE_COUNT,
+    META_TBL,
+    ObservationCampaign,
+)
 from repro.errors import ExperimentError
 from repro.experiments.scheduler import calc_parallel_jobs
 from repro.obs.tracer import Tracer
@@ -151,33 +155,25 @@ class TestPreflight:
             run_small(jobs=0)
 
     def test_missing_database_directory_rejected(self, tmp_path):
-        state = _small_state()
         problems = provenance.preflight(
-            state, jobs=1,
-            database_path=str(tmp_path / "missing" / "db.sqlite"))
+            jobs=1, database_path=str(tmp_path / "missing" / "db.sqlite"))
         assert any("does not exist" in p for p in problems)
 
-    def test_node_budget_checked(self):
-        # The campaign constructor rejects an undersized cluster up
-        # front; preflight re-checks so resumed/rebuilt states get the
-        # same guard.  Shrink after construction to reach it.
-        state = _small_state()
-        state.node_count = 2
-        problems = provenance.preflight(state, jobs=1)
-        assert any("machines" in p for p in problems)
+    def test_undersized_cluster_rejected(self):
+        # 1-1-1 plus the control and client hosts: five machines.
+        with pytest.raises(ExperimentError, match="5 machines"):
+            ObservationCampaign(SMALL_TBL, node_count=2)
+
+    def test_resume_of_undersized_meta_rejected(self):
+        database = run_small().database
+        database.set_meta(META_NODE_COUNT, 2)
+        with pytest.raises(ExperimentError, match="5 machines"):
+            ObservationCampaign.from_database(database)
 
     def test_clean_state_has_no_problems(self, tmp_path):
         problems = provenance.preflight(
-            _small_state(), jobs=4,
-            database_path=str(tmp_path / "db.sqlite"))
+            jobs=4, database_path=str(tmp_path / "db.sqlite"))
         assert problems == []
-
-
-def _small_state(node_count=36):
-    from repro.core.campaign import ObservationCampaign
-
-    campaign = ObservationCampaign(SMALL_TBL, node_count=node_count)
-    return campaign.state
 
 
 # -- worker auto-sizing -------------------------------------------------

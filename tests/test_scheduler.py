@@ -113,8 +113,8 @@ class TestTrialIdentity:
 
         campaign = ObservationCampaign(
             _IDENTITY_TBL.replace("EXTRA", extra), node_count=10)
-        tasks = campaign.state.enumerate_plan(
-            campaign.state.select_experiments(), fidelity=fidelity)
+        tasks = campaign.enumerate_plan(campaign.select_experiments(),
+                                        fidelity=fidelity)
         campaign.run(fidelity=fidelity)
         db = campaign.database
         planned = {task.key() for task in tasks}
