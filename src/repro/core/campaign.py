@@ -64,6 +64,11 @@ from repro.workloads.arrivals import analytic_supported
 #: interrupted run still checkpoints everything it was handed.
 INGEST_BATCH = 16
 
+#: Resource models by exact MOF text.  A campaign renders its MOF from
+#: the spec's benchmark, platform and app server, so the campaigns of a
+#: sweep or of a daemon's queue share a handful of texts.
+_RESOURCE_MODELS = hotpath.MemoCache("spec.resource_model", capacity=64)
+
 #: campaign_meta keys a campaign persists for `repro resume`.
 META_TBL = "tbl_text"
 META_MOF = "mof_text"
@@ -183,7 +188,8 @@ class ObservationCampaign:
         self.node_count = node_count
         self.fault_plan = faults
         self.retry_policy = as_policy(retry) if retry is not None else None
-        self.resource_model = load_resource_model(mof_text)
+        self.resource_model = _RESOURCE_MODELS.get(
+            mof_text, lambda: load_resource_model(mof_text))
         self.validation_warnings = validate(self.resource_model, self.spec)
         needed = max(e.max_machine_count() for e in self.spec.experiments)
         if needed > node_count:

@@ -62,8 +62,7 @@ from repro.monitoring import (
     collect_sysstat_files,
     collected_bytes,
     render_request_log,
-    summarize_log,
-    summarize_log_by_state,
+    summarize_collected_log,
 )
 from repro.monitoring.metrics import TrialMetrics, summarize_records
 from repro.obs.tracer import as_tracer, merge_span_exports, worker_name
@@ -652,8 +651,8 @@ class ExperimentRunner:
                 tracer.annotate(bytes=data_bytes, hosts=len(sys_series))
             self._phase = "analyze"
             with tracer.span("analyze"):
-                metrics = summarize_log(collected_log, window)
-                per_state = summarize_log_by_state(collected_log, window)
+                metrics, per_state = summarize_collected_log(
+                    collected_log, window)
                 host_cpu = {host: series.mean("cpu", window)
                             for host, series in sys_series.items()}
                 tier_of_host = self._tier_map(system)

@@ -12,6 +12,7 @@ from repro.monitoring.metrics import (
     parse_request_log,
     render_request_log,
     summarize_by_state,
+    summarize_collected_log,
     summarize_log,
     summarize_log_by_state,
     summarize_records,
@@ -32,6 +33,7 @@ __all__ = [
     "parse_request_log",
     "render_request_log",
     "summarize_by_state",
+    "summarize_collected_log",
     "summarize_log",
     "summarize_log_by_state",
     "summarize_records",

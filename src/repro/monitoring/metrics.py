@@ -238,6 +238,19 @@ def parse_log_backlog(text):
     return None
 
 
+def _record_views(text):
+    """Parse a collected request log into RequestRecord-shaped views."""
+    return [_RecordView(r) for r in parse_request_log(text)]
+
+
+def _summarize_views(records, text, window):
+    metrics = summarize_records(records, window)
+    recorded = parse_log_backlog(text)
+    if recorded is not None and recorded != metrics.backlog:
+        metrics = replace(metrics, backlog=recorded)
+    return metrics
+
+
 def summarize_log(text, window):
     """Summarize a collected request log over *window*.
 
@@ -245,15 +258,18 @@ def summarize_log(text, window):
     rendered body omits in-flight requests, so recomputing from parsed
     lines alone would undercount open-loop queue growth.
     """
-    requests = parse_request_log(text)
-    metrics = summarize_records([_RecordView(r) for r in requests], window)
-    recorded = parse_log_backlog(text)
-    if recorded is not None and recorded != metrics.backlog:
-        metrics = replace(metrics, backlog=recorded)
-    return metrics
+    return _summarize_views(_record_views(text), text, window)
 
 
 def summarize_log_by_state(text, window):
     """Per-interaction breakdown of a collected request log."""
-    requests = parse_request_log(text)
-    return summarize_by_state([_RecordView(r) for r in requests], window)
+    return summarize_by_state(_record_views(text), window)
+
+
+def summarize_collected_log(text, window):
+    """Both summaries of one collected request log from a single parse:
+    ``(summarize_log(text, window), summarize_log_by_state(text,
+    window))``."""
+    records = _record_views(text)
+    return (_summarize_views(records, text, window),
+            summarize_by_state(records, window))

@@ -68,7 +68,10 @@ CREATE TABLE IF NOT EXISTS trials (
 _TRIAL_SUFFIX = (("fidelity", "'des'"), ("backlog", "0"),
                  ("scenario", "''"))
 
-_SCHEMA = _TRIALS_TABLE + """;
+#: The whole schema, created in one transaction: as separate
+#: autocommitted statements a fresh file paid one journal sync per
+#: table and index.
+_SCHEMA = "BEGIN;\n" + _TRIALS_TABLE + """;
 CREATE TABLE IF NOT EXISTS host_cpu (
     trial_id INTEGER NOT NULL REFERENCES trials(id) ON DELETE CASCADE,
     host TEXT NOT NULL,
@@ -172,6 +175,7 @@ CREATE INDEX IF NOT EXISTS idx_trials_sweep
 CREATE INDEX IF NOT EXISTS idx_host_cpu_trial ON host_cpu (trial_id);
 CREATE INDEX IF NOT EXISTS idx_spans_trial ON spans (trial_id);
 CREATE INDEX IF NOT EXISTS idx_failures_trial ON failures (trial_id);
+COMMIT;
 """
 
 

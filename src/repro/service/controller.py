@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.core.campaign import META_TBL, ObservationCampaign
+from repro.core.campaign import ObservationCampaign
 from repro.errors import (
     CampaignCancelled,
     ResultsError,
@@ -347,10 +347,6 @@ class CampaignController:
     def _build_campaign(self, sub, shard, cid):
         tracer = sub.get("tracer")
         if sub["tbl_text"] is None:
-            if shard.get_meta(META_TBL) is None:
-                raise ServiceError(
-                    "checkpoint carries no campaign meta; submit the "
-                    "TBL text explicitly")
             return ObservationCampaign.from_database(shard, tracer=tracer,
                                                      tenant=cid)
         return ObservationCampaign(

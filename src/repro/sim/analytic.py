@@ -77,7 +77,23 @@ class AnalyticStation:
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """A closed network plus the n-tier semantics the solver applies."""
+    """A closed network plus the n-tier semantics the solver applies.
+
+    A model is checked once, when it is built (``dataclasses.replace``
+    builds, so it checks too): an invalid one raises
+    :class:`~repro.errors.SimulationError` here, not at its solves.
+    What no population or arrival rate changes is worked out at the
+    same time and kept beside the fields: the station names, each
+    station's effective demand and its weight in the summed response
+    time, and the stations with a finite capacity.  Equality, hashing
+    and ``repr`` see only the fields; a pickled model carries the
+    derived values with it.  Nothing is written to a model after
+    construction, so it stays a plain frozen value.
+
+    The weight is the demand less the RAIDb-1 overcount: k replicated
+    write copies cost max-of-k ~= H_k of one copy, not k, so (k - H_k)/k
+    of each station's write residence comes off the response time.
+    """
 
     stations: tuple
     think_time: float
@@ -85,6 +101,43 @@ class AnalyticModel:
     timeout: float = None         # client abandonment threshold, seconds
     replicas: int = 1             # RAIDb-1 database backend count
     write_ratio: float = 0.0
+
+    def __post_init__(self):
+        stations = self.stations
+        if self.think_time < 0:
+            raise SimulationError(
+                f"think time must be non-negative: {self.think_time}")
+        if not stations:
+            raise SimulationError("need at least one station")
+        names = [s.name for s in stations]
+        if len(set(names)) != len(names):
+            raise SimulationError(f"duplicate station names: {names}")
+        for station in stations:
+            if station.effective_demand() < 0:
+                raise SimulationError(
+                    f"station {station.name} has negative demand")
+            if station.write_demand > station.demand:
+                raise SimulationError(
+                    f"station {station.name} writes more than its demand")
+        if self.replicas < 1:
+            raise SimulationError(
+                f"replicas must be >= 1, got {self.replicas}")
+        harmonic = sum(1.0 / i for i in range(1, self.replicas + 1))
+        overcount = (self.replicas - harmonic) / self.replicas
+        effective = tuple(s.effective_demand() for s in stations)
+        weights = tuple(d - overcount * (s.write_demand / s.servers)
+                        for d, s in zip(effective, stations))
+        derived = {
+            "_names": tuple(names),
+            "_effective": effective,
+            "_weights": weights,
+            "_weight_sum": sum(weights),
+            "_capacities": tuple((index, s.capacity)
+                                 for index, s in enumerate(stations)
+                                 if math.isfinite(s.capacity)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -117,43 +170,6 @@ class AnalyticResult:
                    key=lambda name: self.station_utilization[name])
 
 
-def _validate(model, users):
-    """Check *model*; returns each station's effective demand and its
-    weight in the summed response time.
-
-    The weight is the demand less the RAIDb-1 overcount: k replicated
-    write copies cost max-of-k ~= H_k of one copy, not k, so (k - H_k)/k
-    of each station's write residence comes off the response time.
-    """
-    stations = model.stations
-    if users < 0:
-        raise SimulationError(f"users must be non-negative: {users}")
-    if model.think_time < 0:
-        raise SimulationError(
-            f"think time must be non-negative: {model.think_time}")
-    if not stations:
-        raise SimulationError("need at least one station")
-    names = [s.name for s in stations]
-    if len(set(names)) != len(names):
-        raise SimulationError(f"duplicate station names: {names}")
-    for station in stations:
-        if station.effective_demand() < 0:
-            raise SimulationError(
-                f"station {station.name} has negative demand")
-        if station.write_demand > station.demand:
-            raise SimulationError(
-                f"station {station.name} writes more than its demand")
-    if model.replicas < 1:
-        raise SimulationError(
-            f"replicas must be >= 1, got {model.replicas}")
-    harmonic = sum(1.0 / i for i in range(1, model.replicas + 1))
-    overcount = (model.replicas - harmonic) / model.replicas
-    effective = [s.effective_demand() for s in stations]
-    weights = [d - overcount * (s.write_demand / s.servers)
-               for d, s in zip(effective, stations)]
-    return effective, weights
-
-
 def _operating_point(model, throughput, response, queue, residence,
                      utilization, rejection_floor=0.0, **fields):
     """The :class:`AnalyticResult` at one operating point, with losses.
@@ -172,12 +188,11 @@ def _operating_point(model, throughput, response, queue, residence,
             completed_response = (
                 response
                 - model.timeout * timeout_ratio / (1.0 - timeout_ratio))
-    overflow = sum(max(0.0, q - s.capacity)
-                   for q, s in zip(queue, model.stations)
-                   if math.isfinite(s.capacity))
+    overflow = sum(max(0.0, queue[index] - capacity)
+                   for index, capacity in model._capacities)
     in_system = max(throughput * response, 1e-12)
     rejection_ratio = min(0.95, max(rejection_floor, overflow / in_system))
-    names = [s.name for s in model.stations]
+    names = model._names
     return AnalyticResult(
         throughput=throughput,
         response_time=response,
@@ -193,7 +208,7 @@ def _operating_point(model, throughput, response, queue, residence,
     )
 
 
-def _throughput_root(users, fixed, weights, loads):
+def _throughput_root(users, fixed, weights, weight_sum, loads):
     """The throughput X solving ``X * (fixed + R(X)) = N``.
 
     ``R(X) = sum(n_k / (1 - a_k * X))`` is the queueing part of the
@@ -202,7 +217,7 @@ def _throughput_root(users, fixed, weights, loads):
     Newton steps, with a bisection whenever a step would leave the
     bracket.  Returns ``(X, steps)``.
     """
-    base = fixed + sum(weights)
+    base = fixed + weight_sum
     low = 0.0
     high = min([users / base] + [1.0 / a for a in loads if a > 0.0])
     # Lumping every station at least as loaded as station k into its
@@ -254,11 +269,18 @@ def solve_model(model, users):
     every backend really does hold the write job.  What is left is one
     equation, ``X * (Z + R(X)) = N``, solved to rounding by
     :func:`_throughput_root`; ``iterations`` counts its steps.
+
+    The model was checked when it was built, so a solve checks only
+    *users*, and, when it is positive, that some demand, delay or think
+    time bounds the throughput.  ``users == 0`` is the zero-load point.
     """
-    effective, weights = _validate(model, users)
+    if users < 0:
+        raise SimulationError(f"users must be non-negative: {users}")
+    effective = model._effective
+    weights = model._weights
     if users == 0:
-        response = sum(weights) + model.delay
-        names = [s.name for s in model.stations]
+        response = model._weight_sum + model.delay
+        names = model._names
         return AnalyticResult(
             users=0, throughput=0.0, response_time=response,
             station_queue=dict.fromkeys(names, 0.0),
@@ -267,12 +289,13 @@ def solve_model(model, users):
             goodput=0.0, completed_response_time=response,
         )
     fixed = model.think_time + model.delay
-    if fixed + sum(weights) <= 0.0:
+    if fixed + model._weight_sum <= 0.0:
         raise SimulationError(
             "closed model has zero demand, delay and think time: its "
             "throughput is unbounded")
     loads = [(users - 1) / users * d for d in effective]
-    throughput, iterations = _throughput_root(users, fixed, weights, loads)
+    throughput, iterations = _throughput_root(
+        users, fixed, weights, model._weight_sum, loads)
     stretch = [1.0 / (1.0 - a * throughput) for a in loads]
     residence = [d * t for d, t in zip(effective, stretch)]
     return _operating_point(
@@ -322,10 +345,13 @@ def solve_open(model, rate):
     time-varying kinds (diurnal, bursty, flash) must raise
     :class:`~repro.errors.AnalyticUnsupported` *before* reaching this
     function — see :func:`repro.workloads.arrivals.analytic_supported`.
+    The model was checked when it was built; a solve checks only
+    *rate*, and that some station has demand.
     """
-    effective, weights = _validate(model, users=0)
     if rate <= 0:
         raise SimulationError(f"arrival rate must be positive: {rate}")
+    effective = model._effective
+    weights = model._weights
     d_max = max(effective)
     if d_max <= 0:
         raise SimulationError("all stations have zero demand")

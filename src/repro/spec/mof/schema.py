@@ -70,7 +70,13 @@ class TierAssignment:
 
 @dataclass(frozen=True)
 class ResourceModel:
-    """Everything Mulini needs to know about the target environment."""
+    """Everything Mulini needs to know about the target environment.
+
+    ``tiers`` and ``overrides`` are dicts, but nothing assigns into
+    them after :func:`resource_model_from` builds them: campaigns share
+    one model per MOF text through a hot-path cache, so a model is read
+    only.
+    """
 
     cluster_name: str
     platform: catalog.HardwarePlatform

@@ -7,8 +7,9 @@ The contracts under test:
 - its exact root in throughput matches the damped fixed-point
   iteration it replaced, respects the operational-law bounds, is
   monotone in the population, and takes a bounded number of steps;
-- every solve of an invalid model raises, and a solved model solves
-  exactly like a fresh one;
+- an invalid model is refused when it is built, a solve checks only
+  its population or rate, and a solved, pickled or replaced model
+  solves exactly like a fresh one;
 - a runner builds one analytic model per workload ladder, and rebuilds
   it when a host is quarantined;
 - the knees and ``planner_decisions`` rows of one RUBiS and one RUBBoS
@@ -30,6 +31,7 @@ The contracts under test:
 import dataclasses
 import hashlib
 import os
+import pickle
 import sqlite3
 import time
 
@@ -57,6 +59,7 @@ from repro.sim import (
     check_fidelity,
     mva,
 )
+from repro.spec.catalog import get_platform
 from repro.workloads.calibration import RUBIS
 from tests.conftest import assert_declared_schema
 
@@ -308,31 +311,82 @@ def test_tracks_exact_mva_on_product_form_networks(demands, think_time,
 
 
 def test_degenerate_closed_model_is_a_typed_failure():
+    # Unbounded throughput is a property of a solve with users > 0:
+    # the same model still has a zero-load point.
     model = AnalyticModel(stations=(AnalyticStation("idle", 0.0),),
                           think_time=0.0)
+    assert analytic.solve_model(model, 0).response_time == 0.0
     with pytest.raises(SimulationError, match="unbounded"):
         analytic.solve_model(model, 10)
     # More write work than work would give the station a negative
-    # weight in the response time, and the root no unique solution.
-    model = AnalyticModel(
-        stations=(AnalyticStation("db", 0.01, write_demand=0.02),),
-        think_time=1.0, replicas=2)
+    # weight in the response time, and the root no unique solution:
+    # such a model is refused when it is built.
     with pytest.raises(SimulationError, match="writes more"):
-        analytic.solve_model(model, 10)
+        AnalyticModel(
+            stations=(AnalyticStation("db", 0.01, write_demand=0.02),),
+            think_time=1.0, replicas=2)
 
 
-@pytest.mark.parametrize("stations", [
-    (AnalyticStation("db", 0.01), AnalyticStation("db", 0.02)),
-    (AnalyticStation("db", 0.01, write_demand=0.02),),
-], ids=["duplicate-names", "writes-more-than-demand"])
-def test_an_invalid_model_raises_on_every_solve(stations):
-    # Construction checks nothing; every solve does.
-    model = AnalyticModel(stations=stations, think_time=1.0, replicas=2)
-    for _ in range(2):
-        with pytest.raises(SimulationError):
-            analytic.solve_model(model, 10)
-        with pytest.raises(SimulationError):
-            analytic.solve_open(model, 5.0)
+#: One invalid model per check :class:`AnalyticModel` makes when it is
+#: built: the fields that break it and the error it raises.
+INVALID_MODELS = {
+    "negative-think-time": (
+        dict(think_time=-1.0), "think time must be non-negative"),
+    "no-stations": (dict(stations=()), "at least one station"),
+    "duplicate-names": (
+        dict(stations=(AnalyticStation("db", 0.01),
+                       AnalyticStation("db", 0.02))),
+        "duplicate station names"),
+    "negative-demand": (
+        dict(stations=(AnalyticStation("db", -0.01),)), "negative demand"),
+    "writes-more-than-demand": (
+        dict(stations=(AnalyticStation("db", 0.01, write_demand=0.02),)),
+        "writes more"),
+    "no-replicas": (dict(replicas=0), "replicas must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("fields,match", list(INVALID_MODELS.values()),
+                         ids=list(INVALID_MODELS))
+def test_an_invalid_model_is_refused_when_built(fields, match):
+    # A model is checked once, when it is built; ``replace`` builds.
+    valid = AnalyticModel(stations=(AnalyticStation("app", 0.01),
+                                    AnalyticStation("db", 0.01)),
+                          think_time=1.0, replicas=2)
+    with pytest.raises(SimulationError, match=match):
+        AnalyticModel(**{"stations": valid.stations,
+                         "think_time": 1.0, **fields})
+    with pytest.raises(SimulationError, match=match):
+        dataclasses.replace(valid, **fields)
+
+
+def test_model_builders_surface_the_construction_errors():
+    duplicated = [mva.MvaStation("db", 0.01), mva.MvaStation("db", 0.02)]
+    with pytest.raises(SimulationError, match="duplicate station names"):
+        analytic.solve_stations(duplicated, 1.0, 10)
+    with pytest.raises(SimulationError, match="duplicate station names"):
+        solve(duplicated, fidelity=ANALYTIC, users=10, think_time=1.0)
+    with pytest.raises(SimulationError, match="at least one station"):
+        solve([], fidelity=ANALYTIC, users=10, think_time=1.0)
+    node = get_platform("emulab").node_type()
+    hosts = {"app": [("app1", node)], "db": [("db1", node)]}
+    with pytest.raises(SimulationError,
+                       match="think time must be non-negative"):
+        analytic.ntier_model("rubis", hosts, 0.15, think_time=-1.0)
+
+
+def test_a_solve_checks_only_its_own_argument():
+    model = AnalyticModel(stations=(AnalyticStation("db", 0.01),),
+                          think_time=1.0)
+    with pytest.raises(SimulationError, match="users must be"):
+        analytic.solve_model(model, -1)
+    with pytest.raises(SimulationError, match="arrival rate"):
+        analytic.solve_open(model, 0.0)
+    idle = AnalyticModel(stations=(AnalyticStation("idle", 0.0),),
+                         think_time=1.0)
+    assert analytic.solve_model(idle, 10).throughput == pytest.approx(10.0)
+    with pytest.raises(SimulationError, match="zero demand"):
+        analytic.solve_open(idle, 5.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,6 +402,32 @@ def test_a_solved_model_solves_like_a_fresh_one(model, first, users,
         dataclasses.replace(model), users)
     assert analytic.solve_open(model, rate) == analytic.solve_open(
         dataclasses.replace(model), rate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=closed_models(), users=USERS, rate=st.floats(0.1, 2000.0),
+       think_time=st.floats(0.0, 7.0))
+def test_copied_models_solve_bit_identically(model, users, rate,
+                                             think_time):
+    """What a model works out when it is built travels with it: an
+    unpickled copy, a ``replace``d copy and a fresh build solve to the
+    same bits, and a ``replace`` that changes a field solves like a
+    model built with that field."""
+    fields = {field.name: getattr(model, field.name)
+              for field in dataclasses.fields(model)}
+    fresh = AnalyticModel(**fields)
+    copies = [pickle.loads(pickle.dumps(model)), dataclasses.replace(model)]
+    for copy in copies:
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert repr(copy) == repr(fresh)
+        assert analytic.solve_model(copy, users) == analytic.solve_model(
+            fresh, users)
+        assert analytic.solve_open(copy, rate) == analytic.solve_open(
+            fresh, rate)
+    changed = dataclasses.replace(copies[0], think_time=think_time)
+    rebuilt = AnalyticModel(**{**fields, "think_time": think_time})
+    assert analytic.solve_model(changed, users) == analytic.solve_model(
+        rebuilt, users)
 
 
 #: Three topologies by two write ratios: six workload ladders.

@@ -12,9 +12,17 @@ import multiprocessing
 
 import pytest
 
-from repro import FaultPlan, FaultSpec, RetryPolicy, hotpath, run_campaign
+from repro import (
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
+    hotpath,
+    run_adaptive,
+    run_campaign,
+)
 from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
 from repro.generator.mulini import Mulini
+from repro.planner.policy import KNEE
 from repro.shellvm import ShellInterpreter, parse
 from repro.spec import get_platform
 from repro.spec.mof import load_resource_model, render_resource_mof
@@ -47,6 +55,15 @@ CHAOS_PLAN = FaultPlan([
 ], seed=11)
 
 CHAOS_RETRY = RetryPolicy(max_attempts=3, quarantine_after=10)
+
+EXPLORE_TBL = """
+benchmark rubbos; platform emulab;
+experiment "explore" {
+    topology 1-1-1, 1-2-2;
+    workload 100 to 3000 step 100;
+    write_ratio 0%, 30%;
+}
+"""
 
 #: Every persistent table — the caches must be invisible in all of them.
 ALL_TABLES = ("trials", "host_cpu", "state_metrics", "spans", "failures")
@@ -380,3 +397,21 @@ class TestCampaignIdentity:
         stats = hotpath.stats()
         assert stats["generator.chassis"]["hits"] > 0
         assert stats["shellvm.parse"]["hits"] > 0
+
+    def test_analytic_exploration_identical_with_caches(self):
+        # An analytic exploration generates no bundle and runs no
+        # script: its one cache is the resource model, shared by every
+        # campaign of the same MOF text.
+        def explore():
+            report = run_adaptive(EXPLORE_TBL, policy=KNEE,
+                                  fidelity="analytic")
+            return {table: report.database.dump_rows(table)
+                    for table in ALL_TABLES + ("planner_decisions",)}
+
+        with hotpath.caches_disabled():
+            reference = explore()
+        hotpath.clear()
+        assert explore() == explore() == reference
+        assert reference["trials"] and reference["planner_decisions"]
+        assert hotpath.stats()["spec.resource_model"] == {
+            "entries": 1, "hits": 1, "misses": 1}

@@ -10,9 +10,12 @@ from repro.monitoring import (
     parse_request_log,
     parse_sysstat,
     render_request_log,
+    summarize_collected_log,
     summarize_log,
+    summarize_log_by_state,
     summarize_records,
 )
+from repro.monitoring import metrics as metrics_module
 from repro.sim import NTierSimulation
 from repro.sim.ntier import RequestRecord
 from repro.vcluster import VirtualHost
@@ -91,6 +94,40 @@ class TestRequestLog:
         assert from_log.completed == direct.completed
         assert from_log.mean_response_s == pytest.approx(
             direct.mean_response_s, abs=1e-4)
+
+    def test_one_parse_gives_both_summaries(self):
+        records = [_record(float(i), i + 0.2, state=state)
+                   for i, state in zip(range(1, 50), ["Home", "Bid"] * 25)]
+        records.append(_record(60.0, float("nan")))
+        window = (0.0, 100.0)
+        text = render_request_log(records, window=window)
+        assert summarize_collected_log(text, window) == (
+            summarize_log(text, window),
+            summarize_log_by_state(text, window))
+        assert summarize_log(text, window).backlog == 1
+
+    def test_a_des_trial_parses_its_log_once(self, monkeypatch):
+        from repro.api import run_campaign
+
+        calls = []
+        parse = metrics_module.parse_request_log
+
+        def counted(text):
+            calls.append(len(text))
+            return parse(text)
+
+        monkeypatch.setattr(metrics_module, "parse_request_log", counted)
+        report = run_campaign("""
+benchmark rubis; platform emulab;
+experiment "parse-once" {
+    topology 1-1-1;
+    workload 50, 100;
+    write_ratio 15%;
+    trial { warmup 1s; run 2s; cooldown 1s; }
+}
+""")
+        assert report.trials == 2
+        assert len(calls) == 2
 
     def test_bad_log_rejected(self):
         with pytest.raises(MonitoringError):

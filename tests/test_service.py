@@ -20,7 +20,12 @@ from concurrent.futures import Future
 import pytest
 
 from repro import ObservationCampaign, api, hotpath
-from repro.errors import CampaignCancelled, ServiceBusy, ServiceError
+from repro.errors import (
+    CampaignCancelled,
+    ExperimentError,
+    ServiceBusy,
+    ServiceError,
+)
 from repro.results.database import ResultsDatabase, merge_shards, shard_path
 from repro.service import (
     CampaignClient,
@@ -620,6 +625,22 @@ class TestResumeEntryPoints:
         assert record["state"] == "done", record["error"]
         assert record["skipped"] == after
         assert full_dump(daemon) == full_dump(reference)
+
+
+def test_meta_less_checkpoint_fails_the_way_the_cli_does(tmp_path):
+    # One check states "no campaign meta": ObservationCampaign's.
+    path = str(tmp_path / "bare.db")
+    ResultsDatabase(path).close()
+    with pytest.raises(ExperimentError, match="no campaign meta"):
+        api.resume_campaign(path)
+    controller = CampaignController(jobs=1)
+    try:
+        record = wait_done(controller, controller.resume(db_path=path))
+    finally:
+        controller.shutdown()
+    assert record["state"] == "failed"
+    assert record["error"].startswith(
+        "ExperimentError: database carries no campaign meta")
 
 
 # ---------------------------------------------------------------------------
