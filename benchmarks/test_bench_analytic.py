@@ -16,8 +16,9 @@ Two legs, both recorded to ``benchmarks/output/BENCH_analytic.json``
 The payload also counts the analytic solves of both legs, the most
 root steps any of them took and the analytic models the million-user
 exploration built (``solver``), and the SLO verdicts the planner
-judged against the trials it ran (``planner``); CI gates these
-counts, which no runner's speed can move.
+judged and the sweep points its frontier built against the trials it
+ran over its (topology, write ratio) groups (``planner``); CI gates
+these counts, which no runner's speed can move.
 
 Three assertions gate the result:
 
@@ -36,7 +37,7 @@ baseline (``benchmarks/BENCH_analytic.baseline.json``) and fails on a
 import time
 
 from repro.api import run_adaptive, run_campaign
-from repro.planner import policy
+from repro.planner import frontier, policy
 from repro.planner.policy import KNEE
 from repro.sim import analytic
 
@@ -101,11 +102,21 @@ def test_bench_analytic(monkeypatch, write_bench):
         return ntier_model(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "ntier_model", built)
+    points = []
+    sweep_point = frontier.SweepPoint
+
+    def point(*args, **kwargs):
+        points.append(args)
+        return sweep_point(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "SweepPoint", point)
     start = time.perf_counter()
     explored = run_adaptive(MILLION_TBL, policy="knee", fidelity="auto",
                             node_count=40)
     explore_s = time.perf_counter() - start
     monkeypatch.setattr(analytic, "ntier_model", ntier_model)
+    monkeypatch.setattr(frontier, "SweepPoint", sweep_point)
+    experiment = explored.outcome.experiment
     knees = [d for d in explored.outcome.knees if d.action == KNEE]
     knee_workload = knees[0].workload if knees else None
     analytic_trials = len(
@@ -132,7 +143,10 @@ def test_bench_analytic(monkeypatch, write_bench):
         },
         "planner": {
             "verdicts": len(verdicts),
+            "points": len(points),
             "trials": explored.outcome.executed,
+            "groups": len(set(experiment.topologies))
+            * len(set(experiment.write_ratios)),
         },
         "byte_identical": byte_identical,
     }, {

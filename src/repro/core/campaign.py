@@ -340,7 +340,7 @@ class ObservationCampaign:
         :meth:`run`): one pool, opened before the first round and
         closed after the last, so workers warm once.
         """
-        from repro.planner import AdaptivePlanner, make_policy
+        from repro.planner import AdaptivePlanner, log_rows, make_policy
 
         def plan(report, fidelity):
             experiment = self.spec.experiment(experiment_name)
@@ -365,19 +365,16 @@ class ObservationCampaign:
             db = self.database
 
             def record_round(round_no, decisions):
-                db.insert_decisions(
-                    (round_no, seq, policy_obj.name, experiment.name,
-                     decision.action, decision.topology,
-                     decision.workload, decision.write_ratio,
-                     decision.reason, decision.fidelity)
-                    for seq, decision in enumerate(decisions))
+                rows = log_rows(round_no, decisions, policy_obj.name,
+                                experiment.name)
+                db.insert_decisions(rows)
                 if on_progress is not None:
                     measures = sum(1 for d in decisions
                                    if d.action == "measure")
                     on_progress(
                         f"[{experiment.name}] planner round {round_no}: "
                         f"{measures} point(s) proposed, "
-                        f"{len(decisions) - measures} other decision(s)")
+                        f"{len(rows) - measures} other decision(s)")
 
             def explore(execute):
                 db.set_meta(META_PLANNER_POLICY, policy_obj.name)
@@ -434,16 +431,19 @@ class ObservationCampaign:
         self._preflight(jobs)
         self.record_meta(self.database)
         self.database.set_meta(META_FIDELITY, fidelity)
+        # Only a key stored before the run can need replacing; ingest
+        # looks up no other.
+        held = set(self.database.trial_keys())
         if not resume:
             stored = {}
         elif tasks is not None:     # a grid needs only the stored keys
-            stored = dict.fromkeys(self.database.trial_keys())
+            stored = dict.fromkeys(held)
         else:       # a replayed planner observes the stored results
             stored = {result.trial_key(): result
                       for name in report.experiments
                       for result in self.database.query(
                           experiment_name=name)}
-        store, flush_tail = self._ingest(report, on_result=on_result,
+        store, flush_tail = self._ingest(report, held, on_result=on_result,
                                          on_progress=on_progress)
 
         def execute(batch, run):
@@ -491,7 +491,7 @@ class ObservationCampaign:
                               wall_s=time.perf_counter() - started)
         return report
 
-    def _ingest(self, report, *, on_result, on_progress):
+    def _ingest(self, report, held, *, on_result, on_progress):
         """The write-behind store every run writes through: a
         ``store(result, total=None)`` closure plus the ``flush_tail()``
         the caller must invoke on every exit path.
@@ -499,8 +499,10 @@ class ObservationCampaign:
         Counts are aggregated under a lock because scheduler
         configurations may invoke ``store`` from worker threads.
         Results buffer in arrival (= submission) order and flush to the
-        database in single-transaction batches of :data:`INGEST_BATCH`,
-        replacing any stored trial of the same key.  *total* is the
+        database in single-transaction batches of :data:`INGEST_BATCH`.
+        A result whose key is in *held*, the keys stored when the run
+        started, replaces that stored trial once; any other duplicate
+        key is a :class:`~repro.errors.ResultsError`.  *total* is the
         trial count progress lines show; an exploration does not know
         its own up front, so its lines show the running count alone.
         """
@@ -510,7 +512,7 @@ class ObservationCampaign:
         def flush_pending():
             # Caller holds `lock`.
             if pending:
-                self.database.insert_many(pending, replace=True)
+                self.database.insert_many(pending, replace=held)
                 del pending[:]
 
         def flush_tail():

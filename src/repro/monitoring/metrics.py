@@ -226,16 +226,22 @@ class _RecordView:
 
 def parse_log_backlog(text):
     """The ``#backlog N`` trailer of a request log, or ``None`` when
-    the log predates the open-loop plane."""
-    for line in text.splitlines():
-        if line.startswith("#backlog "):
-            try:
-                return int(line.split()[1])
-            except (IndexError, ValueError):
-                raise MonitoringError(
-                    f"malformed backlog trailer: {line!r}"
-                ) from None
-    return None
+    the log predates the open-loop plane.
+
+    :func:`render_request_log` writes the trailer last, so only the
+    last non-empty line is read; the body is never split."""
+    end = len(text)
+    while end and text[end - 1] == "\n":
+        end -= 1
+    line = text[text.rfind("\n", 0, end) + 1:end]
+    if not line.startswith("#backlog "):
+        return None
+    try:
+        return int(line.split()[1])
+    except (IndexError, ValueError):
+        raise MonitoringError(
+            f"malformed backlog trailer: {line!r}"
+        ) from None
 
 
 def _record_views(text):

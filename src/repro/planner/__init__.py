@@ -10,6 +10,7 @@ from repro.planner.loop import (
     AdaptiveOutcome,
     AdaptivePlanner,
     PlanPreview,
+    log_rows,
     plan_preview,
 )
 from repro.planner.policy import (
@@ -38,6 +39,7 @@ __all__ = [
     "SweepPoint",
     "TieredFidelityPolicy",
     "TopologyPromotionPolicy",
+    "log_rows",
     "make_policy",
     "plan_preview",
 ]

@@ -47,6 +47,12 @@ class ObservationFrontier:
     observational stance: an adaptive campaign explores a subset of the
     grid campaign's points, so its every trial is one the grid would
     also have run.
+
+    A group's ladder is the shared workload list plus the group's
+    pruned rung ranges; a :class:`SweepPoint` is built only when a
+    policy proposes or looks up that point, so what a frontier costs
+    grows with the points an exploration measures, not with its
+    universe.
     """
 
     def __init__(self, experiment):
@@ -58,41 +64,46 @@ class ObservationFrontier:
                         for ratio in self._write_ratios]
         self._rung = {workload: rung
                       for rung, workload in enumerate(self._workloads)}
-        # One pass in ExperimentDef.points() order files each point by
-        # key and by group rung; a later duplicate replaces an earlier.
-        universe = []
-        self._by_key = {}
-        self._ladders = {}           # group_id -> points by rung
-        for topology in experiment.topologies:
-            label = topology.label()
-            for ratio in experiment.write_ratios:
-                rounded = round(ratio, 6)
-                ladder = self._ladders.setdefault(
-                    (label, rounded), [None] * len(self._workloads))
-                for workload in experiment.workloads:
-                    key = (label, workload, rounded)
-                    point = self._by_key[key] = SweepPoint(
-                        topology, workload, ratio, key)
-                    universe.append(point)
-                    ladder[self._rung[workload]] = point
-        self.universe = tuple(universe)
-        self._rungs = {group_id: {} for group_id in self._ladders}
+        # group_id -> its declared (topology, write_ratio); a later
+        # duplicate declaration replaces an earlier one.
+        self._declared = {
+            (topology.label(), round(ratio, 6)): (topology, ratio)
+            for topology in experiment.topologies
+            for ratio in experiment.write_ratios}
+        self._rungs = {group_id: {} for group_id in self._declared}
+        self._pruned = {group_id: [] for group_id in self._declared}
+        self._points = {}            # key -> SweepPoint, once looked up
         self._measured = {}          # key -> TrialResult (repetition 0)
-        self._pruned = {}            # key -> reason
         self._pending = set()        # keys proposed but not yet observed
 
     # -- universe ----------------------------------------------------------
 
+    @property
+    def universe(self):
+        """Every sweep point, in :meth:`ExperimentDef.points` order."""
+        return tuple(SweepPoint(topology, workload, ratio)
+                     for topology, workload, ratio
+                     in self.experiment.points())
+
     def point(self, topology, workload, write_ratio):
         """The universe point at these coordinates."""
-        key = (topology.label(), workload, round(write_ratio, 6))
-        try:
-            return self._by_key[key]
-        except KeyError:
+        group_id = (topology.label(), round(write_ratio, 6))
+        if group_id not in self._declared or workload not in self._rung:
             raise ExperimentError(
-                f"{key} is not a sweep point of experiment "
-                f"{self.experiment.name!r}"
-            ) from None
+                f"{(group_id[0], workload, group_id[1])} is not a sweep "
+                f"point of experiment {self.experiment.name!r}")
+        return self.rung_point(group_id, self._rung[workload])
+
+    def rung_point(self, group_id, rung):
+        """Group ``(label, round(write_ratio, 6))``'s point at *rung*,
+        built the first time it is asked for."""
+        key = (group_id[0], self._workloads[rung], group_id[1])
+        point = self._points.get(key)
+        if point is None:
+            topology, ratio = self._declared[group_id]
+            point = self._points[key] = SweepPoint(topology, key[1], ratio,
+                                                   key)
+        return point
 
     def topologies(self):
         """Unique topologies in spec declaration order."""
@@ -115,13 +126,26 @@ class ObservationFrontier:
         """
         return self._groups
 
-    def ladder(self, group_id):
-        """Group ``(label, round(write_ratio, 6))``'s points by rung."""
-        return self._ladders[group_id]
-
     def measured_rungs(self, group_id):
         """The group's latest observation per rung: ``{rung: result}``."""
         return self._rungs[group_id]
+
+    def open_runs(self, group_id, start, stop):
+        """The maximal rung ranges within ``range(start, stop)`` that
+        are neither measured nor pruned, ascending."""
+        closed = sorted([(rung, rung + 1) for rung in self._rungs[group_id]]
+                        + [(rungs.start, rungs.stop)
+                           for rungs in self._pruned[group_id]])
+        runs = []
+        for low, high in closed:
+            if low >= stop:
+                break
+            if low > start:
+                runs.append(range(start, low))
+            start = max(start, high)
+        if start < stop:
+            runs.append(range(start, stop))
+        return runs
 
     # -- state transitions -------------------------------------------------
 
@@ -135,11 +159,11 @@ class ObservationFrontier:
         self._measured[key] = result
         self._rungs[label, ratio][self._rung[workload]] = result
 
-    def prune(self, point, reason):
-        """Mark a point as skippable (its verdict is inferable)."""
-        key = point.key()
-        if key not in self._measured:
-            self._pruned.setdefault(key, reason)
+    def prune(self, group_id, rungs):
+        """Mark a range of a group's rungs as skippable (their verdicts
+        are inferable).  A pruned range never covers a measurement:
+        policies prune only :meth:`open_runs` ranges."""
+        self._pruned[group_id].append(rungs)
 
     # -- queries -----------------------------------------------------------
 
@@ -151,15 +175,16 @@ class ObservationFrontier:
         return point.key() in self._measured
 
     def is_pruned(self, point):
-        return point.key() in self._pruned
+        label, workload, ratio = point.key()
+        rung = self._rung[workload]
+        return any(rung in rungs for rungs in self._pruned[label, ratio])
 
     def is_pending(self, point):
         return point.key() in self._pending
 
     def is_resolved(self, point):
         """Measured or pruned — nothing left to learn here."""
-        key = point.key()
-        return key in self._measured or key in self._pruned
+        return self.is_measured(point) or self.is_pruned(point)
 
     def unresolved(self):
         """Universe points still worth proposing, in canonical order."""

@@ -12,6 +12,7 @@ logic and no I/O — determinism lives here by omission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.experiments.scheduler import TrialTask
 from repro.planner.frontier import ObservationFrontier
@@ -42,8 +43,14 @@ class AdaptiveOutcome:
     pruned_points: int = 0
     converged: bool = False
     budget_exhausted: bool = False
-    decisions: list = field(default_factory=list)
+    #: the rounds' decisions as proposed (a prune covers a rung range)
+    log: list = field(default_factory=list)
     knees: list = field(default_factory=list)   # knee/no-knee Decisions
+
+    @property
+    def decisions(self):
+        """The decision log, one :class:`Decision` per log row."""
+        return [row for decision in self.log for row in decision.expand()]
 
     def universe_size(self):
         return self.experiment.point_count()
@@ -113,8 +120,10 @@ class AdaptivePlanner:
                 if decision.action == MEASURE:
                     measures.append(decision)
                 elif decision.action == PRUNE:
-                    self.frontier.prune(decision.point, decision.reason)
-                    outcome.pruned_points += 1
+                    self.frontier.prune(
+                        (decision.topology, round(decision.write_ratio, 6)),
+                        decision.rungs)
+                    outcome.pruned_points += len(decision.rungs)
                 elif decision.action in (KNEE, NO_KNEE):
                     outcome.knees.append(decision)
                 elif decision.action == BUDGET_EXHAUSTED:
@@ -127,7 +136,7 @@ class AdaptivePlanner:
                         f"trial(s); nothing left to propose"))
                     outcome.converged = True
                 outcome.rounds = round_no
-                outcome.decisions.extend(decisions)
+                outcome.log.extend(decisions)
                 self._count(decisions)
                 if on_round is not None:
                     on_round(round_no, decisions)
@@ -148,7 +157,7 @@ class AdaptivePlanner:
                     ))
                     next_index += 1
             outcome.rounds = round_no
-            outcome.decisions.extend(decisions)
+            outcome.log.extend(decisions)
             self._count(decisions)
             if on_round is not None:
                 on_round(round_no, decisions)
@@ -178,17 +187,26 @@ class AdaptivePlanner:
             if decision.action == MEASURE:
                 self.tracer.count("planner.points_proposed")
             elif decision.action == PRUNE:
-                self.tracer.count("planner.points_pruned")
+                self.tracer.count("planner.points_pruned",
+                                  len(decision.rungs))
+
+
+def log_rows(round_no, decisions, policy_name, experiment_name):
+    """One round's ``planner_decisions`` rows, in decision order; a
+    prune decision gives one row per pruned rung."""
+    return [(round_no, seq, policy_name, experiment_name) + row
+            for seq, row in enumerate(chain.from_iterable(
+                decision.rows() for decision in decisions))]
 
 
 def plan_preview(experiment, policy):
     """Dry-run *policy*'s first round against an empty frontier."""
-    frontier = ObservationFrontier(experiment)
-    decisions = tuple(policy.propose(frontier))
+    decisions = policy.propose(ObservationFrontier(experiment))
     return PlanPreview(
         experiment_name=experiment.name,
         policy_name=policy.name,
-        universe=len(frontier.universe),
+        universe=experiment.point_count(),
         repetitions=experiment.repetitions,
-        decisions=decisions,
+        decisions=tuple(row for decision in decisions
+                        for row in decision.expand()),
     )

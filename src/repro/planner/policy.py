@@ -45,15 +45,21 @@ POLICY_NAMES = ("grid", "knee", "promote", "tiered")
 
 @dataclass
 class Decision:
-    """One planner decision — a row of the decision log.
+    """One planner decision — one or, for a prune, many rows of the
+    decision log.
 
-    *point* carries the live :class:`SweepPoint` for ``measure``/
-    ``prune`` decisions so the loop can act on it; it never persists
-    (the topology/workload/write_ratio columns do) and is excluded
-    from equality so logs compare by their recorded content alone.
+    *point* carries the live :class:`SweepPoint` for a ``measure``
+    decision so the loop can act on it; it never persists (the
+    topology/workload/write_ratio columns do) and is excluded from
+    equality so logs compare by their recorded content alone.
 
-    A plain record, not a frozen one: an exploration makes about a
-    thousand of them, mostly prunes, and frozen construction pays one
+    A ``prune`` covers a range of one group's ladder: *rungs* is a
+    ``range`` of rung indexes into *ladder*, the group's workloads, and
+    the decision stands for one log row per rung (:meth:`rows`,
+    :meth:`expand`).  So concluding a group costs one decision per run
+    of unmeasured rungs, not one per pruned point.
+
+    A plain record, not a frozen one: frozen construction pays one
     ``object.__setattr__`` per field.  So a decision is mutable and
     unhashable; nothing assigns to or hashes one once it is made.
     """
@@ -68,6 +74,8 @@ class Decision:
     #: same analytic/DES split byte for byte.
     fidelity: str = DES
     point: object = field(default=None, compare=False, repr=False)
+    rungs: object = field(default=None, compare=False, repr=False)
+    ladder: object = field(default=None, compare=False, repr=False)
 
     @classmethod
     def measure(cls, point, reason, fidelity=DES):
@@ -78,12 +86,13 @@ class Decision:
                    point=point)
 
     @classmethod
-    def prune(cls, point, reason, fidelity=DES):
-        return cls(action=PRUNE, reason=reason,
-                   topology=point.topology.label(),
-                   workload=point.workload,
-                   write_ratio=point.write_ratio, fidelity=fidelity,
-                   point=point)
+    def prune(cls, label, write_ratio, ladder, rungs, reason,
+              fidelity=DES):
+        """Prune *rungs* (a ``range``) of group *label*/*write_ratio*,
+        whose workload ladder is *ladder*."""
+        return cls(action=PRUNE, reason=reason, topology=label,
+                   write_ratio=write_ratio, fidelity=fidelity,
+                   rungs=rungs, ladder=ladder)
 
     @classmethod
     def note(cls, action, reason, topology=None, workload=None,
@@ -91,6 +100,26 @@ class Decision:
         return cls(action=action, reason=reason, topology=topology,
                    workload=workload, write_ratio=write_ratio,
                    fidelity=fidelity)
+
+    def rows(self):
+        """The decision's log rows, ``(action, topology, workload,
+        write_ratio, reason, fidelity)``; a prune has one per rung."""
+        if self.rungs is None:
+            return ((self.action, self.topology, self.workload,
+                     self.write_ratio, self.reason, self.fidelity),)
+        return [(PRUNE, self.topology, workload, self.write_ratio,
+                 self.reason, self.fidelity)
+                for workload in self.ladder[self.rungs.start:
+                                            self.rungs.stop]]
+
+    def expand(self):
+        """The decision as one :class:`Decision` per log row."""
+        if self.rungs is None:
+            return [self]
+        return [Decision(action, reason, topology, workload, write_ratio,
+                         fidelity)
+                for action, topology, workload, write_ratio, reason,
+                fidelity in self.rows()]
 
     def describe(self):
         where = ""
@@ -174,7 +203,6 @@ class KneeBisectionPolicy(Policy):
 
     def _group(self, frontier, group_id, write_ratio, slo):
         workloads = frontier.workloads()
-        points = frontier.ladder(group_id)
         # Each observed result is judged once; a rung observed again (a
         # DES confirmation replacing an analytic result) is judged anew.
         judged = self._judged.setdefault(group_id, {})
@@ -186,15 +214,14 @@ class KneeBisectionPolicy(Policy):
             verdicts[rung] = memo[1]
         last = len(workloads) - 1
         proposals = []
-        if 0 not in verdicts and not frontier.is_pruned(points[0]):
-            proposals.append(Decision.measure(
-                points[0], "bisection endpoint (lightest workload)",
-                self.fidelity))
-        if last != 0 and last not in verdicts \
-                and not frontier.is_pruned(points[last]):
-            proposals.append(Decision.measure(
-                points[last], "bisection endpoint (heaviest workload)",
-                self.fidelity))
+        ends = ((0, "lightest"), (last, "heaviest"))[:2 if last else 1]
+        for rung, side in ends:
+            if rung not in verdicts:
+                point = frontier.rung_point(group_id, rung)
+                if not frontier.is_pruned(point):
+                    proposals.append(Decision.measure(
+                        point, f"bisection endpoint ({side} workload)",
+                        self.fidelity))
         if proposals:
             return proposals
         highest_pass = max(
@@ -208,23 +235,22 @@ class KneeBisectionPolicy(Policy):
             bracket = (workloads[max(highest_pass, 0)],
                        workloads[min(lowest_violation, last)])
             return [Decision.measure(
-                points[mid],
+                frontier.rung_point(group_id, mid),
                 f"bisect bracket {bracket[0]}..{bracket[1]}",
                 self.fidelity)]
-        # Bracket closed: conclude the group and prune the points the
-        # bisection proved it never needed to run.
+        # Bracket closed: conclude the group and prune the rungs the
+        # bisection proved it never needed to run, one range a run.
         below = (f"inferred in-SLO (below measured pass at "
                  f"u={workloads[highest_pass]})")
         above = (f"inferred SLO-violating (above measured violation at "
                  f"u={workloads[min(lowest_violation, last)]})")
-        decisions = []
-        for index, point in enumerate(points):
-            if index in verdicts or frontier.is_pruned(point):
-                continue
-            decisions.append(Decision.prune(
-                point, below if index <= highest_pass else above,
-                self.fidelity))
         label = group_id[0]
+        decisions = [
+            Decision.prune(label, write_ratio, workloads, rungs, reason,
+                           self.fidelity)
+            for start, stop, reason in ((0, highest_pass + 1, below),
+                                        (highest_pass + 1, last + 1, above))
+            for rungs in frontier.open_runs(group_id, start, stop)]
         if lowest_violation <= last:
             knee = workloads[lowest_violation]
             decisions.append(Decision.note(
@@ -310,7 +336,7 @@ class TieredFidelityPolicy(Policy):
             proposals = []
             verdicts = {}
             for role, index, expect in targets:
-                point = frontier.ladder(group_id)[index]
+                point = frontier.rung_point(group_id, index)
                 result = frontier.result_at(point)
                 if result is None or result.fidelity != DES:
                     if not frontier.is_pending(point):
@@ -476,23 +502,27 @@ class TopologyPromotionPolicy(Policy):
                 f"promoting {current.label()} -> {candidate.label()}",
                 topology=candidate.label(), workload=workload,
                 write_ratio=write_ratio, fidelity=self.fidelity))
-            for index in range(walk["workload_index"]):
-                lighter = frontier.point(candidate, workloads[index],
-                                         write_ratio)
-                if not frontier.is_resolved(lighter):
-                    out.append(Decision.prune(
-                        lighter,
-                        f"{current.label()} already carried "
-                        f"u={workloads[index]} within SLO", self.fidelity))
-            for index in range(walk["workload_index"] + 1,
-                               len(workloads)):
-                heavier = frontier.point(current, workloads[index],
-                                         write_ratio)
-                if not frontier.is_resolved(heavier):
-                    out.append(Decision.prune(
-                        heavier,
-                        f"{current.label()} already violates the SLO "
-                        f"at u={workload}", self.fidelity))
+            # Prune what the walk already knows: the promoted topology's
+            # lighter workloads (each carried within SLO) and the old
+            # topology's heavier ones (each already violating).
+            rounded = round(write_ratio, 6)
+            out.extend(
+                Decision.prune(
+                    candidate.label(), write_ratio, workloads,
+                    range(rung, rung + 1),
+                    f"{current.label()} already carried "
+                    f"u={workloads[rung]} within SLO", self.fidelity)
+                for rungs in frontier.open_runs(
+                    (candidate.label(), rounded), 0, walk["workload_index"])
+                for rung in rungs)
+            out.extend(
+                Decision.prune(
+                    current.label(), write_ratio, workloads, rungs,
+                    f"{current.label()} already violates the SLO "
+                    f"at u={workload}", self.fidelity)
+                for rungs in frontier.open_runs(
+                    (current.label(), rounded), walk["workload_index"] + 1,
+                    len(workloads)))
             walk["visited"].add(candidate.label())
             walk["current"] = candidate
             # Re-test the violating workload on the promoted topology.

@@ -464,7 +464,7 @@ class ResultsDatabase:
             )
         return trial_id
 
-    def insert_many(self, results, replace=False):
+    def insert_many(self, results, replace=frozenset()):
         """Store many :class:`TrialResult`\\ s in **one** transaction.
 
         Every trial's statements run back-to-back and a single commit
@@ -473,10 +473,23 @@ class ResultsDatabase:
         the same sequence of :meth:`insert` calls would produce; on
         error the entire batch rolls back, so the database never holds
         a partial batch.
+
+        *replace* is a set of :class:`TrialKey`\\ s, the keys a campaign
+        found stored when it started: only a result whose key is in it
+        looks up and replaces the stored trial, and the key then leaves
+        the set, so a key stored twice in one campaign is a duplicate
+        (:class:`ResultsError`), never a silent replace.
         """
+        ids, replaced = [], set()
         with self._transaction():
-            return [self._insert_locked(result, replace)
-                    for result in results]
+            for result in results:
+                key = result.trial_key() if replace else None
+                stored = key in replace and key not in replaced
+                if stored:
+                    replaced.add(key)
+                ids.append(self._insert_locked(result, stored))
+        replace -= replaced
+        return ids
 
     def integrity_check(self):
         """Scan for child rows orphaned from ``trials`` — the damage

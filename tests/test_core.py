@@ -326,3 +326,70 @@ class TestObservationCampaign:
         """
         with pytest.raises(Exception):
             ObservationCampaign(bad, node_count=10)
+
+
+class TestIngestReplace:
+    """A campaign looks up a stored trial to replace only for the keys
+    its database held when the run started."""
+
+    TBL = """
+    benchmark rubis; platform emulab;
+    experiment "ingest" {
+        topology 1-1-1, 1-2-1;
+        workload 100, 300;
+        write_ratio 15%;
+    }
+    """
+    #: Overlaps TBL at u=300, so a second run replaces two trials.
+    AGAIN = TBL.replace("100, 300", "300, 500")
+    TABLES = ("trials", "host_cpu", "state_metrics", "spans", "failures")
+
+    def _two_runs(self, path):
+        with ResultsDatabase(str(path)) as database:
+            for tbl in (self.TBL, self.AGAIN):
+                ObservationCampaign(tbl, node_count=10, database=database) \
+                    .run(fidelity="analytic")
+            return {table: database.dump_rows(table)
+                    for table in self.TABLES}
+
+    def test_rerun_into_a_populated_file_replaces_as_every_lookup_did(
+            self, tmp_path, monkeypatch):
+        tables = self._two_runs(tmp_path / "held.sqlite")
+        monkeypatch.setattr(
+            ResultsDatabase, "insert_many",
+            lambda self, results, replace=(): [
+                self.insert(result, replace=True) for result in results])
+        assert tables == self._two_runs(tmp_path / "lookup-all.sqlite")
+        assert [row[4:6] for row in tables["trials"]] == [
+            ("1-1-1", 100), ("1-2-1", 100), ("1-1-1", 300), ("1-1-1", 500),
+            ("1-2-1", 300), ("1-2-1", 500)]
+
+    def test_only_held_keys_are_looked_up(self):
+        database = ResultsDatabase()
+        lookups = []
+        database._db.set_trace_callback(
+            lambda sql: lookups.append(sql)
+            if sql.startswith("SELECT id FROM trials WHERE") else None)
+        ObservationCampaign(self.TBL, node_count=10, database=database) \
+            .run(fidelity="analytic")
+        assert lookups == []
+        ObservationCampaign(self.AGAIN, node_count=10, database=database) \
+            .run(fidelity="analytic")
+        assert len(lookups) == 2            # the two u=300 trials
+        assert database.count() == 6
+
+    def test_a_key_stored_twice_in_one_campaign_is_refused(self):
+        duplicated = self.TBL.replace("100, 300", "100, 100")
+        campaign = ObservationCampaign(duplicated, node_count=10)
+        with pytest.raises(ResultsError, match="duplicate trial"):
+            campaign.run(fidelity="analytic")
+
+    def test_a_held_key_is_replaced_once_per_campaign(self):
+        database = ResultsDatabase()
+        result = make_result()
+        database.insert(result)
+        held = set(database.trial_keys())
+        database.insert_many([result], replace=held)
+        assert held == set() and database.count() == 1
+        with pytest.raises(ResultsError, match="duplicate trial"):
+            database.insert_many([result], replace=held)

@@ -1,6 +1,8 @@
 """Tests for sysstat emitters, collectors and application metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MonitoringError
 from repro.monitoring import (
@@ -21,6 +23,18 @@ from repro.sim.ntier import RequestRecord
 from repro.vcluster import VirtualHost
 from repro.spec import get_platform
 from tests.conftest import make_driver, make_system
+
+
+def _scan_backlog(text):
+    """The backlog trailer found by scanning every line of the log."""
+    for line in text.splitlines():
+        if line.startswith("#backlog "):
+            try:
+                return int(line.split()[1])
+            except (IndexError, ValueError):
+                raise MonitoringError(
+                    f"malformed backlog trailer: {line!r}") from None
+    return None
 
 
 def _record(issued, finished, status="ok", state="Home", user=0):
@@ -128,6 +142,40 @@ experiment "parse-once" {
 """)
         assert report.trials == 2
         assert len(calls) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(spans=st.lists(st.tuples(
+               st.floats(0.0, 90.0),
+               st.none() | st.floats(0.0, 5.0),
+               st.sampled_from(["Home", "Bid", "ViewItem"])),
+               max_size=12),
+           windowed=st.booleans(),
+           trailer=st.sampled_from(
+               [None, "#backlog", "#backlog x", "#backlog 1.5",
+                "#backlog  7", "#backlog -3", "#backlog 4 extra"]))
+    def test_backlog_trailer_read_from_the_end(self, spans, windowed,
+                                               trailer):
+        # The trailer is read from the end of the text; on rendered logs
+        # (with a trailer, without one, or with it mangled) that gives
+        # exactly what scanning every line did, errors included.
+        records = [_record(issued, issued + duration
+                           if duration is not None else float("nan"),
+                           state=state)
+                   for issued, duration, state in spans]
+        text = render_request_log(records,
+                                  window=(0.0, 60.0) if windowed else None)
+        if windowed and trailer is not None:
+            body, _, _ = text.rstrip("\n").rpartition("\n")
+            text = f"{body}\n{trailer}\n"
+
+        def outcome(parse):
+            try:
+                return parse(text)
+            except MonitoringError as error:
+                return str(error)
+
+        assert outcome(metrics_module.parse_log_backlog) == \
+            outcome(_scan_backlog)
 
     def test_bad_log_rejected(self):
         with pytest.raises(MonitoringError):

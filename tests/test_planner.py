@@ -41,6 +41,7 @@ from repro.planner import (
     KneeBisectionPolicy,
     ObservationFrontier,
     TopologyPromotionPolicy,
+    log_rows,
     make_policy,
     plan_preview,
 )
@@ -50,6 +51,7 @@ from repro.planner.policy import (
     MEASURE,
     NO_KNEE,
     PROMOTE,
+    PRUNE,
     STOP,
     Policy,
 )
@@ -116,12 +118,19 @@ class TestObservationFrontier:
             frontier.point(topology, 999, 0.15)
 
     def test_prune_never_overrides_a_measurement(self):
+        # Policies prune the open runs, which skip every measured rung.
         frontier = ObservationFrontier(experiment_of(KNEE_TBL))
-        point = frontier.universe[0]
+        point = frontier.universe[2]
+        group = ("1-1-1", 0.15)
         frontier.observe(point, object())
-        frontier.prune(point, "should not stick")
+        runs = frontier.open_runs(group, 0, 8)
+        assert runs == [range(0, 2), range(3, 8)]
+        for rungs in runs:
+            frontier.prune(group, rungs)
         assert frontier.is_measured(point)
         assert not frontier.is_pruned(point)
+        assert frontier.is_pruned(frontier.universe[3])
+        assert frontier.open_runs(group, 0, 8) == []
 
     def test_unresolved_excludes_pending(self):
         frontier = ObservationFrontier(experiment_of(KNEE_TBL))
@@ -446,6 +455,21 @@ class TestTraceReportSections:
         assert "Planner decisions" not in report
 
 
+def _point_prune(label, write_ratio, workloads, rung, reason):
+    """A prune of one point, its workload filled in as the decision
+    log's row (see :func:`_point_log_rows`) reads it."""
+    return Decision(action=PRUNE, reason=reason, topology=label,
+                    workload=workloads[rung], write_ratio=write_ratio,
+                    rungs=range(rung, rung + 1), ladder=workloads)
+
+
+def _point_log_rows(round_no, decisions, policy_name, experiment_name):
+    """A round's rows as they were built from one decision per row."""
+    return [(round_no, seq, policy_name, experiment_name, d.action,
+             d.topology, d.workload, d.write_ratio, d.reason, d.fidelity)
+            for seq, d in enumerate(decisions)]
+
+
 class _RescanKnee(Policy):
     """The knee bisection before the frontier indexed its ladders: every
     round rebuilds each open group's points and re-judges every
@@ -508,7 +532,8 @@ class _RescanKnee(Policy):
             else:
                 reason = (f"inferred SLO-violating (above measured "
                           f"violation at u={workloads[lowest_violation]})")
-            decisions.append(Decision.prune(point, reason))
+            decisions.append(_point_prune(topology.label(), write_ratio,
+                                          workloads, index, reason))
         label = topology.label()
         if lowest_violation <= last:
             knee = workloads[lowest_violation]
@@ -648,3 +673,193 @@ class TestKneeMatchesFullRescan:
                    if d.action != "converged")
         # Each observed result is judged once.
         assert len(judged) == len({id(r) for r in judged}) <= new[1]
+
+
+class _PerPointPromotion(TopologyPromotionPolicy):
+    """The promotion walk as it pruned before range prunes: one prune
+    per unresolved point, each checked against the frontier."""
+
+    def _advance(self, frontier, write_ratio, slo):
+        from repro.planner import policy as policy_module
+
+        ladder = self._ladder(frontier)
+        walk = self._walks.setdefault(round(write_ratio, 6), {
+            "current": ladder[0], "workload_index": 0,
+            "visited": {ladder[0].label()}, "done": False})
+        if walk["done"]:
+            return []
+        workloads = frontier.workloads()
+        out = []
+        while True:
+            current = walk["current"]
+            if walk["workload_index"] >= len(workloads):
+                out.append(Decision.note(
+                    STOP,
+                    f"{current.label()} carries the heaviest workload "
+                    f"u={workloads[-1]} within SLO; nothing left to "
+                    f"promote for",
+                    topology=current.label(), workload=workloads[-1],
+                    write_ratio=write_ratio))
+                walk["done"] = True
+                return out
+            workload = workloads[walk["workload_index"]]
+            point = frontier.point(current, workload, write_ratio)
+            result = frontier.result_at(point)
+            if result is None:
+                if frontier.is_pruned(point):
+                    walk["workload_index"] += 1
+                    continue
+                out.append(Decision.measure(
+                    point, f"ascending walk on {current.label()}"))
+                return out
+            if not policy_module.slo_violated(result, slo):
+                walk["workload_index"] += 1
+                continue
+            tier = policy_module.detect_bottleneck(result, self.threshold)
+            if tier is None:
+                out.append(Decision.note(
+                    STOP,
+                    f"SLO violated at u={workload} on {current.label()} "
+                    f"with no saturated tier; scaling will not help",
+                    topology=current.label(), workload=workload,
+                    write_ratio=write_ratio))
+                walk["done"] = True
+                return out
+            candidate = next(
+                (t for t in ladder
+                 if t.label() not in walk["visited"]
+                 and t.count(tier) > current.count(tier)
+                 and t.dominates(current)),
+                None)
+            if candidate is None:
+                out.append(Decision.note(
+                    STOP,
+                    f"{tier} tier saturated at u={workload} but the "
+                    f"experiment family declares no larger {tier} "
+                    f"topology dominating {current.label()}",
+                    topology=current.label(), workload=workload,
+                    write_ratio=write_ratio))
+                walk["done"] = True
+                return out
+            out.append(Decision.note(
+                PROMOTE,
+                f"{tier} tier saturated "
+                f"({result.tier_cpu(tier):.0f}% CPU) at u={workload}; "
+                f"promoting {current.label()} -> {candidate.label()}",
+                topology=candidate.label(), workload=workload,
+                write_ratio=write_ratio))
+            for index in range(walk["workload_index"]):
+                lighter = frontier.point(candidate, workloads[index],
+                                         write_ratio)
+                if not frontier.is_resolved(lighter):
+                    out.append(_point_prune(
+                        candidate.label(), write_ratio, workloads, index,
+                        f"{current.label()} already carried "
+                        f"u={workloads[index]} within SLO"))
+            for index in range(walk["workload_index"] + 1,
+                               len(workloads)):
+                heavier = frontier.point(current, workloads[index],
+                                         write_ratio)
+                if not frontier.is_resolved(heavier):
+                    out.append(_point_prune(
+                        current.label(), write_ratio, workloads, index,
+                        f"{current.label()} already violates the SLO "
+                        f"at u={workload}"))
+            walk["visited"].add(candidate.label())
+            walk["current"] = candidate
+
+
+class _Saturated(_Observed):
+    """A fake trial result carrying its verdict and saturated tier."""
+
+    def __init__(self, violated, tier):
+        super().__init__(violated)
+        self.tier = tier
+
+    def tier_cpu(self, tier):
+        return 97.0
+
+
+def _decision_log(experiment, policy, execute, record=log_rows):
+    """``(planner_decisions rows, knees, trials, pruned points)`` of one
+    exploration, each round's rows built by *record* (by default as a
+    campaign records them)."""
+    rows = []
+    outcome = AdaptivePlanner(experiment, policy).run(
+        execute, on_round=lambda round_no, decisions: rows.extend(
+            record(round_no, decisions, policy.name, experiment.name)))
+    assert len(rows) == len(outcome.decisions)
+    return rows, outcome.knees, outcome.executed, outcome.pruned_points
+
+
+def _verdict_execute(verdicts):
+    def execute(tasks):
+        return [verdicts[task.topology.label(), task.workload,
+                         f"{round(task.write_ratio * 100)}%"]
+                for task in tasks]
+    return execute
+
+
+class TestRangePrunesLogLikePointPrunes:
+    """Range prunes write the same ``planner_decisions`` rows — order,
+    reasons and fidelity — and reach the same knees as one prune per
+    point did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exploration=_explorations(),
+           fidelity=st.sampled_from([DES, ANALYTIC]))
+    def test_knee_and_budget(self, exploration, fidelity):
+        tbl, verdicts, budget = exploration
+        experiment = experiment_of(tbl)
+        execute = _verdict_execute(
+            {key: _Observed(violated) for key, violated in verdicts.items()})
+        with mock.patch("repro.planner.policy.slo_violated",
+                        lambda result, slo: result.violated):
+            new = _decision_log(experiment, make_policy(
+                "knee", budget=budget, fidelity=fidelity), execute)
+        reference = _RescanKnee(lambda result: result.violated)
+        if budget is not None:
+            reference = _RescanBudget(reference, budget)
+        if fidelity == ANALYTIC:
+            reference = _Stamped(reference)
+        assert new == _decision_log(experiment, reference, execute,
+                                    _point_log_rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_promotion_walk_and_budget(self, data):
+        topologies = data.draw(st.lists(
+            st.sampled_from(["1-1-1", "1-2-1", "1-1-2", "1-2-2", "1-4-2",
+                             "2-2-1", "1-4-1"]),
+            min_size=1, max_size=5, unique=True))
+        workloads = data.draw(st.lists(st.integers(1, 5000), min_size=1,
+                                       max_size=12, unique=True))
+        ratios = data.draw(st.lists(st.sampled_from(["0%", "15%", "30%"]),
+                                    min_size=1, max_size=2, unique=True))
+        outcomes = st.tuples(st.booleans(),
+                             st.sampled_from([None, "web", "app", "db"]))
+        results = {(topology, workload, ratio): _Saturated(
+                       *data.draw(outcomes))
+                   for topology in topologies for workload in workloads
+                   for ratio in ratios}
+        budget = data.draw(st.none() | st.integers(1, len(results)))
+        experiment = experiment_of(
+            f'benchmark rubis; platform emulab;\n'
+            f'experiment "walk" {{\n'
+            f'    topology {", ".join(topologies)};\n'
+            f'    workload {", ".join(map(str, workloads))};\n'
+            f'    write_ratio {", ".join(ratios)};\n'
+            f'}}\n')
+        execute = _verdict_execute(results)
+
+        def explore(policy, record=log_rows):
+            if budget is not None:
+                policy = BudgetedExplorer(policy, budget)
+            return _decision_log(experiment, policy, execute, record)
+
+        with mock.patch("repro.planner.policy.slo_violated",
+                        lambda result, slo: result.violated), \
+                mock.patch("repro.planner.policy.detect_bottleneck",
+                           lambda result, threshold: result.tier):
+            assert explore(TopologyPromotionPolicy()) == \
+                explore(_PerPointPromotion(), _point_log_rows)
