@@ -95,6 +95,35 @@ def test_bench_ps_station_throughput(benchmark):
     assert completed == 20_000
 
 
+def test_bench_worker_pool_station(benchmark):
+    """Admission through a worker pool and accept queue, and rejection
+    past them: 40 clients make 20k offers to a 2-core station with 8
+    workers and 16 queue slots; a refused client offers again 50 ms
+    later."""
+
+    def run():
+        sim = Simulator()
+        station = ProcessorSharingStation(sim, "s", cores=2,
+                                          concurrency_limit=8,
+                                          queue_limit=16)
+        remaining = [20_000]
+
+        def offer():
+            if remaining[0] > 0:
+                remaining[0] -= 1
+                if not station.submit(0.01, offer):
+                    sim.schedule(0.05, offer)
+
+        for _ in range(40):
+            offer()
+        sim.run_all()
+        return station.completed, station.rejected
+
+    completed, rejected = benchmark(run)
+    # Every offer is either served or refused.
+    assert (completed, rejected) == (7704, 12296)
+
+
 def test_bench_mva_solve(benchmark):
     """Exact MVA across 3 stations for 3000 customers."""
     stations = [mva.MvaStation("web", 0.0015),

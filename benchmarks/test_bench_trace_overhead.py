@@ -1,7 +1,10 @@
 """Wall-clock benchmark: the flight recorder's tracing overhead.
 
-Runs a reduced Figure 5 sweep twice — tracing off and tracing on — and
-records both wall-clocks to ``benchmarks/output/trace_overhead.txt``.
+Runs a reduced Figure 5 sweep twice — tracing off and tracing on.  The
+trial and span counts go to the tracked
+``benchmarks/output/BENCH_trace_overhead.json`` and both wall-clocks
+to its git-ignored ``.timing.json`` sibling, so a run leaves the tree
+clean.
 The target is <5% overhead: spans are cheap (one ``perf_counter`` pair
 plus a dict per phase), and the trial outcome must be bit-identical
 either way, so tracing can stay on for real campaigns.
@@ -10,13 +13,10 @@ The hard assertion is deliberately looser than the target (shared CI
 runners jitter); the measured number is what the report tracks.
 """
 
-import pathlib
 import time
 
 from repro.experiments.figures import figure5
 from repro.obs import Tracer
-
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 #: Reduced sweep: full topology grid, shorter trials and fewer loads.
 SWEEP = dict(scale=0.05, max_workload=900, workload_step=300)
@@ -31,7 +31,7 @@ def _fingerprint(results):
     ]
 
 
-def test_bench_trace_overhead():
+def test_bench_trace_overhead(write_bench):
     start = time.perf_counter()
     plain = figure5(**SWEEP)
     plain_s = time.perf_counter() - start
@@ -52,10 +52,11 @@ def test_bench_trace_overhead():
         f"({spans} spans recorded)\n"
         f"  overhead      {overhead:8.1%}   (target < 5%)\n"
     )
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "trace_overhead.txt").write_text(report)
-    print()
-    print(report)
+    write_bench("trace_overhead", {"trials": trials, "spans": spans}, {
+        "tracing_off_s": round(plain_s, 3),
+        "tracing_on_s": round(traced_s, 3),
+        "overhead": round(overhead, 4),
+    })
 
     # Tracing must observe, never perturb: identical observations.
     assert _fingerprint(plain.results) == _fingerprint(traced.results)

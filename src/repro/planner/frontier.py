@@ -57,15 +57,16 @@ class ObservationFrontier:
 
     def __init__(self, experiment):
         self.experiment = experiment
-        self._workloads = sorted(set(experiment.workloads))
-        self._topologies = list(dict.fromkeys(experiment.topologies))
-        self._write_ratios = list(dict.fromkeys(experiment.write_ratios))
+        # The spec refuses repeated sweep entries, so these are unique.
+        self._workloads = sorted(experiment.workloads)
+        self._topologies = list(experiment.topologies)
+        self._write_ratios = list(experiment.write_ratios)
         self._groups = [(topology, ratio) for topology in self._topologies
                         for ratio in self._write_ratios]
         self._rung = {workload: rung
                       for rung, workload in enumerate(self._workloads)}
-        # group_id -> its declared (topology, write_ratio); a later
-        # duplicate declaration replaces an earlier one.
+        # group_id -> its declared (topology, write_ratio); of two
+        # ratios equal to six places, the later one is kept.
         self._declared = {
             (topology.label(), round(ratio, 6)): (topology, ratio)
             for topology in experiment.topologies

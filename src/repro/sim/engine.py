@@ -10,6 +10,16 @@ sequence number is unique, so ``heapq`` orders entries with C list
 comparison by ``(time, seq)`` and never reaches ``fn``.  ``cancel()``
 clears ``fn`` to ``None``; the dispatch loops drop such tombstones
 when they reach the head of the heap.
+
+:meth:`Simulator.schedule` is the checked public entry point.  The
+per-request hot paths, a processor-sharing station's next departure
+(:mod:`repro.sim.resources`) and a request's hops, timeout, return trip
+and think-then-reissue (:mod:`repro.sim.ntier`), build the same
+``Event((now + delay, next(sim._seq), fn))`` and push it onto
+``sim._heap`` themselves.  Their delays are non-negative by
+construction (a draw from ``expovariate`` or a remaining virtual time
+over a positive rate) or checked once when the harness is built, so
+the entries and their order are exactly what ``schedule`` would make.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.obs.tracer import as_tracer
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import ProcessorSharingStation
 from repro.sim.rng import RandomStreams
 from repro.workloads import build_model
@@ -117,6 +118,15 @@ class NTierSimulation:
                  model=None, balancer_policy="rr", tracer=None):
         self.system = system
         self.driver = system.driver
+        # The request path pushes its hops, timeout and think times
+        # straight onto the event heap, so the delays that schedule()
+        # would check on every push are checked here, once.
+        for what, delay in (("hop latency", hop_latency),
+                            ("client timeout", self.driver.timeout),
+                            ("think time", self.driver.think_time)):
+            if not delay >= 0:
+                raise SimulationError(
+                    f"{what} must be a non-negative delay: {delay}")
         self.hop_latency = hop_latency
         self.balancer_policy = balancer_policy
         self.tracer = as_tracer(tracer)
@@ -129,6 +139,16 @@ class NTierSimulation:
         self.records = []
         self.stations_by_host = {}
         self._build_stations()
+        # The response unwinds back through the tiers as pure network
+        # latency (rendering was charged on the way in).
+        self._return_delay = hop_latency * (
+            2 if self.web_balancer is None else 3)
+        streams = self.rng.stream
+        self._chain_random = streams("chain").random
+        self._web_draw = streams("web").expovariate
+        self._app_draw = streams("app").expovariate
+        self._db_draw = streams("db").expovariate
+        self._disk_draw = streams("db-disk").expovariate
         self._user_states = {}
         self._started = False
         #: Open-loop state; populated by start() when the deployed
@@ -266,7 +286,7 @@ class NTierSimulation:
         return issue
 
     def _advance_chain(self, user):
-        draw = self.rng.stream(f"chain").random()
+        draw = self._chain_random()
         state = self.model.matrix.next_state(self._user_states[user], draw)
         self._user_states[user] = state
         return state
@@ -282,13 +302,9 @@ class NTierSimulation:
                 return
             self._session_remaining[user] = remaining
         think = self.rng.exponential("think", self.driver.think_time)
-        self.sim.schedule(think, self._make_issuer(user))
-
-    def draw_demand(self, stream, mean):
-        """Per-visit demand draw; exponential service-time variability."""
-        if mean <= 0:
-            return 0.0
-        return self.rng.exponential(stream, mean)
+        sim = self.sim
+        heappush(sim._heap, Event((sim.now + think, next(sim._seq),
+                                   self._make_issuer(user))))
 
     # -- telemetry ------------------------------------------------------------------
 
@@ -300,7 +316,12 @@ class NTierSimulation:
 
 
 class _RequestContext:
-    """Drives one request through the tiers with timeout handling."""
+    """Drives one request through the tiers with timeout handling.
+
+    Each visit's demand is an exponential draw on the tier's stream
+    (zero for a zero mean); hops push their events straight onto the
+    heap (see :mod:`repro.sim.engine`).
+    """
 
     __slots__ = ("harness", "user", "record", "demand", "timeout_event",
                  "pending_writes", "timed_out")
@@ -317,13 +338,17 @@ class _RequestContext:
     # -- plumbing -------------------------------------------------------------
 
     def begin(self):
-        self.timeout_event = self.harness.sim.schedule(
-            self.harness.driver.timeout, self._on_timeout
-        )
-        self._hop(self._enter_web)
-
-    def _hop(self, next_stage):
-        self.harness.sim.schedule(self.harness.hop_latency, next_stage)
+        harness = self.harness
+        sim = harness.sim
+        now = sim.now
+        heap = sim._heap
+        seq = sim._seq
+        event = Event((now + harness.driver.timeout, next(seq),
+                       self._on_timeout))
+        heappush(heap, event)
+        self.timeout_event = event
+        heappush(heap, Event((now + harness.hop_latency, next(seq),
+                              self._enter_web)))
 
     def _on_timeout(self):
         # Client abandons; the in-flight work keeps consuming capacity
@@ -337,7 +362,7 @@ class _RequestContext:
         if self.timed_out:
             return
         if self.timeout_event is not None:
-            self.timeout_event.cancel()
+            self.timeout_event[2] = None
         self.record.status = status
         self.record.finished_at = self.harness.sim.now
         self.harness._think_then_reissue(self.user)
@@ -350,21 +375,27 @@ class _RequestContext:
             self._enter_app()
             return
         station = balancer.pick()
-        demand = self.harness.draw_demand("web", self.demand.web_s)
+        mean = self.demand.web_s
+        demand = 0.0 if mean <= 0 else self.harness._web_draw(1.0 / mean)
         if not station.submit(demand, self._hop_to_app):
             self._fail(REJECTED)
 
     def _hop_to_app(self):
-        self._hop(self._enter_app)
+        sim = self.harness.sim
+        heappush(sim._heap, Event((sim.now + self.harness.hop_latency,
+                                   next(sim._seq), self._enter_app)))
 
     def _enter_app(self):
         station = self.harness.app_balancer.pick()
-        demand = self.harness.draw_demand("app", self.demand.app_s)
+        mean = self.demand.app_s
+        demand = 0.0 if mean <= 0 else self.harness._app_draw(1.0 / mean)
         if not station.submit(demand, self._hop_to_db):
             self._fail(REJECTED)
 
     def _hop_to_db(self):
-        self._hop(self._enter_db)
+        sim = self.harness.sim
+        heappush(sim._heap, Event((sim.now + self.harness.hop_latency,
+                                   next(sim._seq), self._enter_db)))
 
     def _enter_db(self):
         if self.demand.is_write:
@@ -391,13 +422,14 @@ class _RequestContext:
         The spindle never rejects (the DBMS queues I/O internally), so
         only the CPU worker pool can refuse the operation.
         """
-        cpu_demand = self.harness.draw_demand("db", self.demand.db_s)
+        harness = self.harness
+        mean = self.demand.db_s
+        cpu_demand = 0.0 if mean <= 0 else harness._db_draw(1.0 / mean)
         disk_mean = DB_DISK_WRITE_S if self.demand.is_write \
             else DB_DISK_READ_S
 
         def after_cpu():
-            disk_demand = self.harness.draw_demand("db-disk", disk_mean)
-            backend.disk.submit(disk_demand, on_done)
+            backend.disk.submit(harness._disk_draw(1.0 / disk_mean), on_done)
 
         return backend.cpu.submit(cpu_demand, after_cpu)
 
@@ -407,17 +439,14 @@ class _RequestContext:
             self._db_done()
 
     def _db_done(self):
-        # Response unwinds back through the tiers; model the return path
-        # as pure network latency (response rendering was charged on the
-        # way in).
-        hops = 2 if self.harness.web_balancer is None else 3
-        self.harness.sim.schedule(self.harness.hop_latency * hops,
-                                  self._complete)
+        sim = self.harness.sim
+        heappush(sim._heap, Event((sim.now + self.harness._return_delay,
+                                   next(sim._seq), self._complete)))
 
     def _complete(self):
         if self.timed_out:
             return       # client already gave up; drop the response
-        self.timeout_event.cancel()
+        self.timeout_event[2] = None
         self.record.status = OK
         self.record.finished_at = self.harness.sim.now
         self.harness._think_then_reissue(self.user)

@@ -11,28 +11,28 @@ Worker-pool semantics mirror real servers: admissions beyond the
 concurrency limit wait in an accept queue; beyond the queue limit they
 are rejected (connection refused), which is one of the two error paths
 behind the paper's incomplete high-load trials (Table 7).
+
+The two hot paths, :meth:`ProcessorSharingStation.submit` and the
+departure handler, each advance the clock, update the job heap and
+push the one next-departure :class:`~repro.sim.engine.Event` straight
+onto the simulator's heap, in one frame.  A departure admits every
+waiting job it can before it reschedules, so it pushes one event where
+a reschedule per admission would leave tombstones behind.  Every
+floating-point operation keeps its operands and its order, and a
+skipped tombstone only leaves a gap in the sequence numbers, so live
+events keep their relative order: results are bit-identical to the
+one-reschedule-per-change form (``tests/test_sim_core.py`` holds that
+form as a reference and compares the two).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-
-
-class Job:
-    """One request's service episode at a station."""
-
-    __slots__ = ("demand", "on_done", "finish_v", "seq", "submitted_at")
-
-    def __init__(self, demand, on_done, submitted_at):
-        self.demand = demand
-        self.on_done = on_done
-        self.finish_v = None
-        self.seq = None
-        self.submitted_at = submitted_at
+from repro.sim.engine import Event
 
 
 class ProcessorSharingStation:
@@ -50,12 +50,12 @@ class ProcessorSharingStation:
         self.speed = speed
         self.concurrency_limit = concurrency_limit
         self.queue_limit = queue_limit
-        self._active = []            # heap of (finish_v, seq, job)
+        self._active = []            # heap of (finish_v, seq, demand, on_done)
         self._n_active = 0
         self._virtual = 0.0
         self._last_update = sim.now
         self._departure_event = None
-        self._waiting = deque()
+        self._waiting = deque()      # (demand, on_done), first come first
         self._seq = itertools.count()
         # Accounting.
         self.busy_area = 0.0         # integral of utilization over time
@@ -63,18 +63,9 @@ class ProcessorSharingStation:
         self.rejected = 0
         self.total_service = 0.0
 
-    # -- rates ---------------------------------------------------------------
-
-    def _per_job_rate(self):
-        if self._n_active == 0:
-            return 0.0
-        return self.speed * min(1.0, self.cores / self._n_active)
-
-    def current_utilization(self):
-        """Instantaneous utilization (busy cores / cores)."""
-        if self._n_active == 0:
-            return 0.0
-        return min(self._n_active, self.cores) / self.cores
+    # With n resident jobs the busy share is min(n, cores) / cores and
+    # each job's rate speed * min(1, cores / n); the conditional forms
+    # below give the same floats without the min() calls.
 
     def _advance_clock(self):
         now = self.sim.now
@@ -82,8 +73,13 @@ class ProcessorSharingStation:
         if dt < 0:
             raise SimulationError(f"{self.name}: clock moved backwards")
         if dt > 0:
-            self.busy_area += self.current_utilization() * dt
-            self._virtual += self._per_job_rate() * dt
+            n = self._n_active
+            if n:
+                cores = self.cores
+                speed = self.speed
+                self.busy_area += (1.0 if n >= cores else n / cores) * dt
+                self._virtual += (speed if n <= cores
+                                  else speed * (cores / n)) * dt
             self._last_update = now
 
     # -- job lifecycle ---------------------------------------------------------
@@ -92,59 +88,92 @@ class ProcessorSharingStation:
         """Offer a job; returns False when the accept queue rejects it."""
         if demand < 0:
             raise SimulationError(f"{self.name}: negative demand {demand}")
-        self._advance_clock()
-        job = Job(demand, on_done, self.sim.now)
-        if (self.concurrency_limit is not None
-                and self._n_active >= self.concurrency_limit):
+        sim = self.sim
+        now = sim.now
+        n = self._n_active
+        cores = self.cores
+        speed = self.speed
+        dt = now - self._last_update
+        if dt > 0:
+            if n:
+                self.busy_area += (1.0 if n >= cores else n / cores) * dt
+                self._virtual += (speed if n <= cores
+                                  else speed * (cores / n)) * dt
+            self._last_update = now
+        elif dt < 0:
+            raise SimulationError(f"{self.name}: clock moved backwards")
+        limit = self.concurrency_limit
+        if limit is not None and n >= limit:
             if (self.queue_limit is not None
                     and len(self._waiting) >= self.queue_limit):
                 self.rejected += 1
                 return False
-            self._waiting.append(job)
+            self._waiting.append((demand, on_done))
             return True
-        self._start(job)
+        active = self._active
+        virtual = self._virtual
+        heappush(active, (virtual + demand, next(self._seq), demand, on_done))
+        n += 1
+        self._n_active = n
+        event = self._departure_event
+        if event is not None:
+            event[2] = None
+        remaining = active[0][0] - virtual
+        event = Event((
+            now + (remaining if remaining > 0.0 else 0.0)
+            / (speed if n <= cores else speed * (cores / n)),
+            next(sim._seq), self._depart))
+        heappush(sim._heap, event)
+        self._departure_event = event
         return True
 
-    def _start(self, job):
-        job.seq = next(self._seq)
-        job.finish_v = self._virtual + job.demand
-        heapq.heappush(self._active, (job.finish_v, job.seq, job))
-        self._n_active += 1
-        self._reschedule()
-
-    def _reschedule(self):
-        if self._departure_event is not None:
-            self._departure_event.cancel()
-            self._departure_event = None
-        if self._n_active == 0:
-            return
-        finish_v = self._active[0][0]
-        rate = self._per_job_rate()
-        remaining_v = max(0.0, finish_v - self._virtual)
-        delay = remaining_v / rate
-        self._departure_event = self.sim.schedule(delay, self._depart)
-
     def _depart(self):
-        self._departure_event = None
-        self._advance_clock()
+        # A departure event exists only while a job is active: n >= 1.
+        sim = self.sim
+        now = sim.now
+        n = self._n_active
+        cores = self.cores
+        speed = self.speed
+        dt = now - self._last_update
+        if dt > 0:
+            self.busy_area += (1.0 if n >= cores else n / cores) * dt
+            self._virtual += (speed if n <= cores
+                              else speed * (cores / n)) * dt
+            self._last_update = now
+        elif dt < 0:
+            raise SimulationError(f"{self.name}: clock moved backwards")
+        active = self._active
+        virtual = self._virtual
+        done_by = virtual + 1e-12
         finished = []
-        while self._active and self._active[0][0] <= self._virtual + 1e-12:
-            _fv, _seq, job = heapq.heappop(self._active)
-            self._n_active -= 1
-            finished.append(job)
-        if not finished:
-            # Numerical slack: the head job is not quite done yet.
-            self._reschedule()
-            return
-        while self._waiting and (
-                self.concurrency_limit is None
-                or self._n_active < self.concurrency_limit):
-            self._start(self._waiting.popleft())
-        self._reschedule()
-        for job in finished:
+        while active and active[0][0] <= done_by:
+            finished.append(heappop(active))
+        # An empty ``finished`` is numerical slack: the head job is not
+        # quite done yet, and the departure is pushed again.
+        if finished:
+            n -= len(finished)
+            waiting = self._waiting
+            limit = self.concurrency_limit
+            while waiting and (limit is None or n < limit):
+                demand, on_done = waiting.popleft()
+                heappush(active, (virtual + demand, next(self._seq),
+                                  demand, on_done))
+                n += 1
+            self._n_active = n
+        if n:
+            remaining = active[0][0] - virtual
+            event = Event((
+                now + (remaining if remaining > 0.0 else 0.0)
+                / (speed if n <= cores else speed * (cores / n)),
+                next(sim._seq), self._depart))
+            heappush(sim._heap, event)
+            self._departure_event = event
+        else:
+            self._departure_event = None
+        for _finish_v, _seq, demand, on_done in finished:
             self.completed += 1
-            self.total_service += job.demand
-            job.on_done()
+            self.total_service += demand
+            on_done()
 
     # -- introspection --------------------------------------------------------
 

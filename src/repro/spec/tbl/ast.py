@@ -152,6 +152,17 @@ class ExperimentDef:
             raise TblError("client timeout must be positive")
         if self.repetitions < 1:
             raise TblError("repetitions must be at least 1")
+        # A repeated sweep entry would run the same trial key twice.
+        for setting, values in (
+                ("topology", [t.label() for t in self.topologies]),
+                ("workload", self.workloads),
+                ("write_ratio", self.write_ratios)):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise TblError(
+                        f"{setting} {value!r} listed twice in {self.name!r}")
+                seen.add(value)
         if self.consolidation_ratio < 1:
             raise TblError("consolidation ratio must be at least 1")
         if self.arrival is not None \

@@ -9,7 +9,9 @@ distributions, and mix construction from a target write ratio.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import WorkloadError
 
@@ -76,7 +78,11 @@ class TransitionMatrix:
                     f"row for {state!r} sums to {total}, expected 1"
                 )
             self.rows.append(tuple(row))
-        self._index = {state: i for i, state in enumerate(self.states)}
+        # Per state, the running sums of its row but the last, added in
+        # row order: the first threshold above a draw picks the
+        # successor, and a draw past them all picks the last state.
+        self._thresholds = {state: list(accumulate(row[:-1]))
+                            for state, row in zip(self.states, self.rows)}
 
     @classmethod
     def memoryless(cls, states, mix):
@@ -95,15 +101,10 @@ class TransitionMatrix:
     def next_state(self, current, uniform_draw):
         """The successor of *current* given a U(0,1) draw."""
         try:
-            row = self.rows[self._index[current]]
+            thresholds = self._thresholds[current]
         except KeyError:
             raise WorkloadError(f"unknown state {current!r}")
-        cumulative = 0.0
-        for state, probability in zip(self.states, row):
-            cumulative += probability
-            if uniform_draw < cumulative:
-                return state
-        return self.states[-1]
+        return self.states[bisect_right(thresholds, uniform_draw)]
 
     def stationary(self, iterations=200, tolerance=1e-12):
         """Stationary distribution by power iteration."""

@@ -12,7 +12,7 @@ from repro.core import (
     slo_violated,
 )
 from repro.core.bottleneck import bottleneck_progression
-from repro.errors import ResultsError
+from repro.errors import ResultsError, TblError
 from repro.experiments.figures import make_runner
 from repro.results import ResultsDatabase
 from repro.spec.tbl import ServiceLevelObjective
@@ -379,10 +379,18 @@ class TestIngestReplace:
         assert database.count() == 6
 
     def test_a_key_stored_twice_in_one_campaign_is_refused(self):
-        duplicated = self.TBL.replace("100, 300", "100, 100")
-        campaign = ObservationCampaign(duplicated, node_count=10)
+        # A campaign flushes its results with the keys it held at start;
+        # a key it produced twice is not among them.
+        database = ResultsDatabase()
+        result = make_result()
         with pytest.raises(ResultsError, match="duplicate trial"):
-            campaign.run(fidelity="analytic")
+            database.insert_many([result, result], replace=set())
+        assert database.count() == 0
+
+    def test_a_repeated_sweep_entry_is_refused_before_any_trial(self):
+        duplicated = self.TBL.replace("100, 300", "100, 100")
+        with pytest.raises(TblError, match="workload 100 listed twice"):
+            ObservationCampaign(duplicated, node_count=10)
 
     def test_a_held_key_is_replaced_once_per_campaign(self):
         database = ResultsDatabase()

@@ -6,9 +6,14 @@ inversion, timeout/rejection error paths, and determinism.
 """
 
 import hashlib
+import json
+import math
 
 import pytest
 
+from repro import provenance, run_campaign
+from repro.errors import SimulationError
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.sim import OK, REJECTED, TIMEOUT, NTierSimulation
 from tests.conftest import make_driver, make_system
 
@@ -162,6 +167,19 @@ class TestErrorPaths:
         statuses = {r.status for r in harness.records}
         assert TIMEOUT in statuses
 
+    @pytest.mark.parametrize("bad", [-0.001, math.nan])
+    @pytest.mark.parametrize("delay", ["hop_latency", "timeout",
+                                       "think_time"])
+    def test_bad_delay_refused_when_built(self, delay, bad):
+        # The request path pushes these delays unchecked, so the
+        # harness refuses a negative or NaN one before any event.
+        if delay == "hop_latency":
+            driver, options = make_driver(), {"hop_latency": bad}
+        else:
+            driver, options = make_driver(**{delay: bad}), {}
+        with pytest.raises(SimulationError, match="non-negative delay"):
+            NTierSimulation(make_system(driver=driver), **options)
+
 
 class TestWeblogicOnWarp:
     def test_dual_core_warp_doubles_capacity(self):
@@ -251,3 +269,68 @@ class TestPinnedSaturatedOutput:
         assert harness.sim.events_processed == events
         assert len(records) == n_records
         assert _record_digest(records) == sha256
+
+
+def _pin_tbl(name, benchmark, topology, workload, ratio, extra=""):
+    return (f'benchmark {benchmark}; platform emulab;\n'
+            f'experiment "{name}" {{\n    topology {topology};\n'
+            f'    workload {workload};\n    write_ratio {ratio};\n'
+            f'    seed 5;\n    trial {{ warmup 2s; run 5s; cooldown 1s; }}\n'
+            f'{extra}}}\n')
+
+
+#: Short DES campaigns whose result tables are pinned: name -> (TBL,
+#: run_campaign keywords, sha256 of the canonical table digests).
+PINNED_CAMPAIGNS = {
+    # Closed-loop RUBiS 1-2-1 past the app-tier knee.
+    "rubis-121-knee": (
+        _pin_tbl("pin-rubis", "rubis", "1-2-1", "700", "15%"), {},
+        "c6823ac97c64c0e77bd0bb84138ce9e3a4c56c513db8f0b48dd6923e4b47b59c"),
+    # RUBBoS 1-2-2 at 30 % writes: RAIDb-1 fan-out on both backends and
+    # 444 worker-pool rejections.
+    "rubbos-122-write30": (
+        _pin_tbl("pin-rubbos", "rubbos", "1-2-2", "6500", "30%"), {},
+        "33c57342fe0d72af92a24be7cbd7bbcfbc2b9fba7bdfc471b9b60fcc46fd26d9"),
+    # Open-loop flash crowd (sessions arrive, walk, leave).
+    "flash-crowd": (
+        _pin_tbl("pin-flash", "rubis", "1-1-1", "120", "15%",
+                 '    scenario "pin-flash";\n'
+                 '    arrival flash { burst 6; duty 0.4; at 0.6; }\n'), {},
+        "60cc0c2a363ff367872e64881ef17918a661747c39b9804d43fe797658053151"),
+    # A seeded fault plan: crashed attempts are retried and recorded.
+    "fault-plan": (
+        _pin_tbl("pin-faults", "rubis", "1-1-1", "100, 300", "15%"),
+        dict(faults=FaultPlan([
+            FaultSpec(kind="host-crash", target="node-*", rate=0.5),
+            FaultSpec(kind="monitor-truncate", rate=0.4)], seed=11),
+            retry=RetryPolicy(max_attempts=3, quarantine_after=10)),
+        "2e9024c770371df029f85823dd5115583c5107f0fc03980b6284ac473620f2bf"),
+}
+
+
+class TestPinnedCampaignDigests:
+    """The DES counterpart of the analytic tier's pinned decisions:
+    whole campaigns' result tables, byte for byte.
+
+    A change to the event loop, the stations or the request path that
+    moves one departure by one ulp shows up here as a different digest.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CAMPAIGNS))
+    def test_table_digests_pinned(self, name):
+        tbl, options, sha256 = PINNED_CAMPAIGNS[name]
+        report = run_campaign(tbl, node_count=12, **options)
+        digests = provenance.table_digests(report.database)
+        assert hashlib.sha256(json.dumps(
+            digests, sort_keys=True).encode()).hexdigest() == sha256
+
+    def test_least_loaded_balancer_pinned(self):
+        driver = make_driver(users=900, warmup=2.0, run=5.0, cooldown=1.0,
+                             seed=5)
+        harness = NTierSimulation(make_system(apps=3, driver=driver),
+                                  balancer_policy="least")
+        records = harness.run()
+        assert (harness.sim.events_processed, len(records),
+                _record_digest(records)) == (
+            9758, 1271,
+            "4d95d1374597f1de04fe8a8bfb4ee24a4ff7b9d6c86bf276e71ac3b042be8649")

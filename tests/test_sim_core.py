@@ -1,7 +1,9 @@
 """Tests for the simulation engine, PS stations, RNG and MVA baseline."""
 
+import heapq
 import itertools
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim import ProcessorSharingStation, RandomStreams, Simulator
 from repro.sim import mva
+from repro.workloads.interactions import TransitionMatrix
 
 
 class TestEngine:
@@ -345,6 +348,208 @@ def test_ps_finish_no_earlier_than_ideal(demands, cores):
     sim.run_all()
     for index, demand in enumerate(demands):
         assert finishes[index] >= demand - 1e-9
+
+
+class _ReferenceJob:
+    __slots__ = ("demand", "on_done", "finish_v", "seq")
+
+    def __init__(self, demand, on_done):
+        self.demand = demand
+        self.on_done = on_done
+        self.finish_v = None
+        self.seq = None
+
+
+class _ReferenceStation:
+    """Executable spec of the PS station: the one-call-per-step form,
+    which cancels and reschedules the departure through
+    ``Simulator.schedule`` on every change (one reschedule per admitted
+    job).  The fused station must match it bit for bit."""
+
+    def __init__(self, sim, cores=1, speed=1.0, concurrency_limit=None,
+                 queue_limit=None):
+        self.sim = sim
+        self.cores = cores
+        self.speed = speed
+        self.concurrency_limit = concurrency_limit
+        self.queue_limit = queue_limit
+        self._active = []
+        self._n_active = 0
+        self._virtual = 0.0
+        self._last_update = sim.now
+        self._departure_event = None
+        self._waiting = deque()
+        self._seq = itertools.count()
+        self.busy_area = 0.0
+        self.completed = 0
+        self.rejected = 0
+        self.total_service = 0.0
+
+    def _per_job_rate(self):
+        if self._n_active == 0:
+            return 0.0
+        return self.speed * min(1.0, self.cores / self._n_active)
+
+    def current_utilization(self):
+        if self._n_active == 0:
+            return 0.0
+        return min(self._n_active, self.cores) / self.cores
+
+    def _advance_clock(self):
+        dt = self.sim.now - self._last_update
+        if dt > 0:
+            self.busy_area += self.current_utilization() * dt
+            self._virtual += self._per_job_rate() * dt
+            self._last_update = self.sim.now
+
+    def submit(self, demand, on_done):
+        self._advance_clock()
+        job = _ReferenceJob(demand, on_done)
+        if (self.concurrency_limit is not None
+                and self._n_active >= self.concurrency_limit):
+            if (self.queue_limit is not None
+                    and len(self._waiting) >= self.queue_limit):
+                self.rejected += 1
+                return False
+            self._waiting.append(job)
+            return True
+        self._start(job)
+        return True
+
+    def _start(self, job):
+        job.seq = next(self._seq)
+        job.finish_v = self._virtual + job.demand
+        heapq.heappush(self._active, (job.finish_v, job.seq, job))
+        self._n_active += 1
+        self._reschedule()
+
+    def _reschedule(self):
+        if self._departure_event is not None:
+            self._departure_event.cancel()
+            self._departure_event = None
+        if self._n_active == 0:
+            return
+        finish_v = self._active[0][0]
+        rate = self._per_job_rate()
+        remaining_v = max(0.0, finish_v - self._virtual)
+        self._departure_event = self.sim.schedule(remaining_v / rate,
+                                                  self._depart)
+
+    def _depart(self):
+        self._departure_event = None
+        self._advance_clock()
+        finished = []
+        while self._active and self._active[0][0] <= self._virtual + 1e-12:
+            _fv, _seq, job = heapq.heappop(self._active)
+            self._n_active -= 1
+            finished.append(job)
+        if not finished:
+            self._reschedule()
+            return
+        while self._waiting and (
+                self.concurrency_limit is None
+                or self._n_active < self.concurrency_limit):
+            self._start(self._waiting.popleft())
+        self._reschedule()
+        for job in finished:
+            self.completed += 1
+            self.total_service += job.demand
+            job.on_done()
+
+    def area_reading(self):
+        self._advance_clock()
+        return self.sim.now, self.busy_area
+
+
+# Dyadic times and demands, so arrivals tie with departures exactly.
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+_DEMANDS = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 1.5, 0.3])
+#: A job: (arrival time, demand, follow-up demand submitted from its
+#: completion callback or None).
+_JOBS = st.lists(st.tuples(_TIMES, _DEMANDS, st.none() | _DEMANDS),
+                 min_size=1, max_size=14)
+
+
+def _drive(station_factory, jobs):
+    """Run *jobs* through a fresh station; returns what is observable."""
+    sim = Simulator()
+    station = station_factory(sim)
+    log = []
+
+    def arrive(ident, demand, follow_up):
+        def on_done():
+            log.append((ident, sim.now.hex(), station.completed,
+                        station.total_service.hex()))
+            if follow_up is not None:
+                arrive(-ident - 1, follow_up, None)()
+        return lambda: log.append(
+            (ident, "accepted" if station.submit(demand, on_done)
+             else "rejected"))
+
+    for ident, (at, demand, follow_up) in enumerate(jobs):
+        sim.schedule_at(at, arrive(ident, demand, follow_up))
+    sim.run_all()
+    now, area = station.area_reading()
+    return (log, area.hex(), station.completed, station.rejected,
+            station.total_service.hex(), sim.events_processed, now)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jobs=_JOBS, cores=st.integers(1, 4),
+       speed=st.sampled_from([1.0, 0.5, 2.0, 0.3]),
+       concurrency_limit=st.none() | st.integers(1, 4),
+       queue_limit=st.none() | st.integers(0, 3))
+def test_fused_station_matches_reference(jobs, cores, speed,
+                                         concurrency_limit, queue_limit):
+    """Completion times, busy area, counters and events processed are
+    bit-identical to the one-reschedule-per-change station."""
+    def limits(cls):
+        return lambda sim: cls(sim, cores=cores, speed=speed,
+                               concurrency_limit=concurrency_limit,
+                               queue_limit=queue_limit)
+
+    expected = _drive(limits(_ReferenceStation), jobs)
+    fused = _drive(lambda sim: ProcessorSharingStation(
+        sim, "s", cores=cores, speed=speed,
+        concurrency_limit=concurrency_limit, queue_limit=queue_limit), jobs)
+    assert fused == expected
+
+
+def _linear_next_state(states, row, draw):
+    """The successor by a linear scan of the running row sums."""
+    cumulative = 0.0
+    for state, probability in zip(states, row):
+        cumulative += probability
+        if draw < cumulative:
+            return state
+    return states[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]),
+                                 min_size=1, max_size=6)
+                        .filter(any), min_size=1, max_size=4),
+       draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+def test_next_state_matches_linear_scan(weights, draws):
+    """Bisecting the precomputed thresholds picks the state the linear
+    scan picks: for random draws, for draws exactly on a threshold and
+    one ulp either side, and past rows with zero-probability states."""
+    width = max(len(w) for w in weights)
+    states = tuple(f"s{i}" for i in range(width))
+    rows = [[weight / sum(ws) for weight in ws + [0] * (width - len(ws))]
+            for ws in weights]
+    rows = (rows + [rows[-1]] * width)[:width]
+    matrix = TransitionMatrix(states, rows)
+    for state, row in zip(states, rows):
+        probes = list(draws) + [0.0, 1.0]
+        cumulative = 0.0
+        for probability in row:
+            cumulative += probability
+            probes += [cumulative, math.nextafter(cumulative, 0.0),
+                       math.nextafter(cumulative, 2.0)]
+        for draw in probes:
+            assert matrix.next_state(state, draw) == \
+                _linear_next_state(states, row, draw)
 
 
 class TestMva:

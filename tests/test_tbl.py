@@ -1,8 +1,12 @@
 """Tests for the Testbed Language front end."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TblError
+from repro.experiments import enumerate_tasks
+from repro.planner.frontier import ObservationFrontier
 from repro.spec.tbl import (
     ExperimentDef,
     MonitorSpec,
@@ -213,6 +217,16 @@ class TestAstValidation:
         with pytest.raises(TblError):
             self._make(think_time=0)
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("topologies", (Topology(1, 1, 1), Topology(1, 2, 1),
+                        Topology(1, 1, 1)), "topology '1-1-1' listed twice"),
+        ("workloads", (100, 300, 100), "workload 100 listed twice"),
+        ("write_ratios", (0.15, 0.15), "write_ratio 0.15 listed twice"),
+    ])
+    def test_repeated_sweep_entry_refused(self, field, values, message):
+        with pytest.raises(TblError, match=message):
+            self._make(**{field: values})
+
     def test_slo_bounds(self):
         with pytest.raises(TblError):
             ServiceLevelObjective(error_ratio=1.5)
@@ -286,3 +300,42 @@ class TestWriterRoundTrip:
         assert "write_ratio 0% to 90% step 45%;" in text
         spec = parse(text)
         assert spec.experiment("r").write_ratios[1] == pytest.approx(0.45)
+
+
+_topology_labels = st.builds(
+    lambda w, a, d: f"{w}-{a}-{d}", st.integers(1, 2), st.integers(1, 3),
+    st.integers(1, 2))
+_workload_lists = st.one_of(
+    st.lists(st.integers(1, 30).map(lambda k: 50 * k), min_size=1,
+             max_size=5).map(lambda ws: ", ".join(map(str, ws))),
+    st.tuples(st.integers(1, 10), st.integers(0, 6), st.integers(1, 3))
+    .map(lambda t: f"{50 * t[0]} to {50 * (t[0] + t[1] * t[2])} "
+                   f"step {50 * t[2]}"))
+_ratio_lists = st.lists(st.integers(0, 90), min_size=1, max_size=4) \
+    .map(lambda rs: ", ".join(f"{r}%" for r in rs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(topologies=st.lists(_topology_labels, min_size=1, max_size=4),
+       workloads=_workload_lists, ratios=_ratio_lists,
+       repetitions=st.integers(1, 3))
+def test_sweep_points_are_unique_trial_keys(topologies, workloads, ratios,
+                                            repetitions):
+    """A spec either refuses a repeated sweep entry or enumerates
+    exactly its points: what ``validate`` counts is what the grid runs,
+    every task a distinct trial key, and the planner's universe."""
+    text = (f"benchmark rubis; platform emulab;\n"
+            f"experiment \"p\" {{ topology {', '.join(topologies)}; "
+            f"workload {workloads}; write_ratio {ratios}; "
+            f"repetitions {repetitions}; }}")
+    declared = (topologies, workloads.split(", "), ratios.split(", "))
+    if any(len(set(values)) < len(values) for values in declared):
+        with pytest.raises(TblError, match="listed twice"):
+            parse(text)
+        return
+    experiment = parse(text).experiment("p")
+    points = experiment.point_count()
+    tasks = enumerate_tasks(experiment)
+    assert len(tasks) == points * repetitions
+    assert len({task.key() for task in tasks}) == len(tasks)
+    assert len(ObservationFrontier(experiment).universe) == points
