@@ -20,7 +20,7 @@ judged and the sweep points its frontier built against the trials it
 ran over its (topology, write ratio) groups (``planner``); CI gates
 these counts, which no runner's speed can move.
 
-Three assertions gate the result:
+Four assertions gate the result:
 
 * **Wall clock** — the million-user exploration completes in under
   10 seconds.
@@ -28,6 +28,9 @@ Three assertions gate the result:
   calibration predicts (u=4000 for 4-16-8 at 15% writes).
 * **Identity** — the analytic grid's persistent tables are
   byte-identical between the 1-worker and 4-worker runs.
+* **Verdicts** — the planner judged at least one and at most one SLO
+  verdict per trial through the counted ``policy.slo_violated``, so the
+  per-trial gate cannot pass at zero.
 
 CI additionally diffs the measured rates against the committed
 baseline (``benchmarks/BENCH_analytic.baseline.json``) and fails on a
@@ -172,4 +175,10 @@ def test_bench_analytic(monkeypatch, write_bench):
     )
     assert byte_identical, (
         "analytic grid diverged between 1-worker and 4-worker runs"
+    )
+    assert 1 <= len(verdicts) <= explored.outcome.executed, (
+        f"the planner judged {len(verdicts)} SLO verdicts over "
+        f"{explored.outcome.executed} trials; judging each observation "
+        f"once, through the counted policy.slo_violated, needs 1 to "
+        f"{explored.outcome.executed}"
     )

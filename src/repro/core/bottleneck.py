@@ -5,6 +5,10 @@ longer than specified by service level objectives), we use Mulini to
 generate new experiments with larger configurations" (Section II).  The
 detector reads the same per-tier CPU figures the sysstat pipeline
 collected — observation, not modelling.
+
+The SLO verdict is stated here once (:func:`slo_violated`), with the
+ladder readings every knee read from stored rows is built on:
+:func:`ladders`, :func:`first_violation` and :func:`last_pass`.
 """
 
 from __future__ import annotations
@@ -101,6 +105,34 @@ def slo_violated(result, slo):
             or result.metrics.error_ratio > slo.error_ratio)
 
 
+def ladders(results, target=None):
+    """``{(topology_label, write_ratio): ladder}`` over *results*.
+
+    A ladder is one group's results sorted by ``(workload, seed)``, so a
+    point's repetitions sit side by side in seed order; the groups
+    iterate in sorted-key order.  Rungs above *target* are dropped.
+    """
+    groups = {}
+    for result in results:
+        if target is not None and result.workload > target:
+            continue
+        key = (result.topology_label, result.write_ratio)
+        groups.setdefault(key, []).append(result)
+    return {key: sorted(groups[key], key=lambda r: (r.workload, r.seed))
+            for key in sorted(groups)}
+
+
+def first_violation(ladder, slo):
+    """The first result of *ladder* that violates *slo*, or None."""
+    return next((r for r in ladder if slo_violated(r, slo)), None)
+
+
+def last_pass(results, slo):
+    """The largest workload among *results* that meets *slo*, or None."""
+    return max((r.workload for r in results if not slo_violated(r, slo)),
+               default=None)
+
+
 def diagnose(result, slo, threshold=SATURATION_CPU_PERCENT):
     """A structured observation for one trial.
 
@@ -134,8 +166,5 @@ def bottleneck_progression(results, slo, threshold=SATURATION_CPU_PERCENT):
     ordered = sorted(results, key=lambda r: r.workload)
     if not ordered:
         raise ExperimentError("no results to diagnose")
-    for result in ordered:
-        verdict = diagnose(result, slo, threshold)
-        if verdict["slo_violated"]:
-            return verdict
-    return None
+    first = first_violation(ordered, slo)
+    return None if first is None else diagnose(first, slo, threshold)

@@ -10,8 +10,8 @@ by interpolating *between observations* — never from a model.
 
 from __future__ import annotations
 
+from repro.core.bottleneck import last_pass
 from repro.errors import ResultsError
-from repro.experiments.trial import DNF
 
 
 class PerformanceMap:
@@ -96,19 +96,17 @@ class PerformanceMap:
         only speaks to measured workloads (the observational stance).
         """
         ratio = round(write_ratio, 6)
-        good = [
-            result.workload
-            for (t, _w, r), result in self._by_point.items()
-            if t == topology and abs(r - ratio) < 1e-9
-            and result.status != DNF
-            and result.metrics.mean_response_s <= slo.response_time
-            and result.metrics.error_ratio <= slo.error_ratio
-        ]
-        return max(good) if good else None
+        return last_pass(
+            [result for (t, _w, r), result in self._by_point.items()
+             if t == topology and abs(r - ratio) < 1e-9], slo)
 
     def knee(self, topology, write_ratio=0.15, factor=3.0):
         """The observed saturation knee: the first workload whose RT
-        exceeds *factor* x the lightest-load RT."""
+        exceeds *factor* x the lightest-load RT.
+
+        A response-time reading, not an SLO one: it compares the curve
+        with its own lightest load and never consults an objective.
+        """
         workloads = self.workloads(topology, write_ratio)
         if len(workloads) < 2:
             raise ResultsError(

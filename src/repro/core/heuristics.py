@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.bottleneck import detect_bottleneck, slo_violated
+from repro.core.bottleneck import detect_bottleneck, last_pass, slo_violated
 from repro.errors import AllocationError, ExperimentError
 from repro.experiments.sweep import build_experiment
 from repro.spec.topology import Topology
@@ -44,9 +44,7 @@ class ScaleOutOutcome:
         raise ExperimentError("strategy ran no trials")
 
     def max_supported_workload(self, slo):
-        good = [r.workload for r in self.results
-                if not slo_violated(r, slo) and r.completed]
-        return max(good) if good else None
+        return last_pass(self.results, slo)
 
 
 class ScaleOutStrategy:

@@ -109,6 +109,19 @@ def analytic_metrics(solved, experiment):
     )
 
 
+def _error_budget_status(metrics, slo, tracer):
+    """COMPLETED, or DNF when *metrics* exceed *slo*'s error budget.
+
+    The paper's trials that "could not complete" (Table 7); the cause
+    is annotated on *tracer*'s current span.
+    """
+    if metrics.error_ratio > slo.error_ratio:
+        tracer.annotate(dnf_cause=f"error ratio {metrics.error_ratio:.3f} "
+                        f"exceeds budget {slo.error_ratio:.3f}")
+        return DNF
+    return COMPLETED
+
+
 class ExperimentRunner:
     """Runs experiment points end to end on one virtual cluster.
 
@@ -484,13 +497,8 @@ class ExperimentRunner:
                             key = f"{placed.physical}/{member}"
                             host_cpu[key] = host_cpu[member]
                             tier_of_host[key] = "physical"
-                status = COMPLETED
-                if metrics.error_ratio > experiment.slo.error_ratio:
-                    status = DNF
-                    tracer.annotate(dnf_cause=f"error ratio "
-                                    f"{metrics.error_ratio:.3f} exceeds "
-                                    f"budget "
-                                    f"{experiment.slo.error_ratio:.3f}")
+                status = _error_budget_status(metrics, experiment.slo,
+                                              tracer)
                 trial_span.annotate(status=status)
         finally:
             if trial_span is not None:
@@ -674,12 +682,7 @@ class ExperimentRunner:
                 partial=summarize_records(records, window),
                 cause=error,
             ) from error
-        status = COMPLETED
-        if metrics.error_ratio > experiment.slo.error_ratio:
-            status = DNF
-            tracer.annotate(dnf_cause=f"error ratio "
-                            f"{metrics.error_ratio:.3f} exceeds budget "
-                            f"{experiment.slo.error_ratio:.3f}")
+        status = _error_budget_status(metrics, experiment.slo, tracer)
         return TrialResult(
             experiment_name=experiment.name,
             benchmark=experiment.benchmark,

@@ -46,11 +46,6 @@ class TrialMetrics:
             return 0.0
         return self.errors / self.total
 
-    def satisfies(self, slo):
-        """Check against a TBL ServiceLevelObjective."""
-        return (self.error_ratio <= slo.error_ratio
-                and self.mean_response_s <= slo.response_time)
-
 
 def _percentile(sorted_values, fraction):
     if not sorted_values:

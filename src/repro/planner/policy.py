@@ -131,6 +131,19 @@ class Decision:
         return f"{self.action}{where}{tier}: {self.reason}"
 
 
+def _judge_once(judged, rung, result, slo):
+    """*result*'s SLO verdict, memoized in *judged* as ``rung ->
+    (result, verdict)``.
+
+    Each observation is judged once; a rung observed again (a DES
+    confirmation replacing an analytic result) is judged anew.
+    """
+    memo = judged.get(rung)
+    if memo is None or memo[0] is not result:
+        memo = judged[rung] = (result, slo_violated(result, slo))
+    return memo[1]
+
+
 class Policy:
     """The policy protocol (also usable as a base class).
 
@@ -203,15 +216,10 @@ class KneeBisectionPolicy(Policy):
 
     def _group(self, frontier, group_id, write_ratio, slo):
         workloads = frontier.workloads()
-        # Each observed result is judged once; a rung observed again (a
-        # DES confirmation replacing an analytic result) is judged anew.
         judged = self._judged.setdefault(group_id, {})
-        verdicts = {}
-        for rung, result in frontier.measured_rungs(group_id).items():
-            memo = judged.get(rung)
-            if memo is None or memo[0] is not result:
-                memo = judged[rung] = (result, slo_violated(result, slo))
-            verdicts[rung] = memo[1]
+        verdicts = {rung: _judge_once(judged, rung, result, slo)
+                    for rung, result
+                    in frontier.measured_rungs(group_id).items()}
         last = len(workloads) - 1
         proposals = []
         ends = ((0, "lightest"), (last, "heaviest"))[:2 if last else 1]
@@ -345,13 +353,8 @@ class TieredFidelityPolicy(Policy):
                             f"DES confirmation of analytic {role} "
                             f"(expect {'violation' if expect else 'pass'})"))
                 else:
-                    # Judge each DES observation once, as the inner
-                    # policy does: rung -> (result, verdict).
-                    memo = state["judged"].get(index)
-                    if memo is None or memo[0] is not result:
-                        memo = state["judged"][index] = (
-                            result, slo_violated(result, slo))
-                    verdicts[role] = memo[1]
+                    verdicts[role] = _judge_once(
+                        state["judged"], index, result, slo)
             if proposals:
                 return proposals
             if len(verdicts) < len(targets):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from repro.core.bottleneck import (
     SATURATION_CPU_PERCENT,
     detect_bottleneck,
-    slo_violated,
+    first_violation,
+    ladders,
 )
 from repro.errors import RemedyError
 from repro.experiments.trial import DNF
@@ -115,18 +116,10 @@ class Detector:
         """
         if not results:
             raise RemedyError("no observations to diagnose")
-        groups = {}
-        for result in results:
-            if self.target is not None and result.workload > self.target:
-                continue
-            key = (result.topology_label, result.write_ratio)
-            groups.setdefault(key, []).append(result)
+        groups = ladders(results, self.target)
         diagnoses = []
-        for key in sorted(groups):
-            ladder = sorted(groups[key],
-                            key=lambda r: (r.workload, r.seed))
-            first_bad = next(
-                (r for r in ladder if slo_violated(r, self.slo)), None)
+        for ladder in groups.values():
+            first_bad = first_violation(ladder, self.slo)
             if first_bad is not None:
                 diagnoses.append(self._classify(first_bad))
         diagnoses.extend(self._quarantine_diagnoses(groups))
@@ -176,11 +169,10 @@ class Detector:
         )
 
     def _quarantine_diagnoses(self, groups):
-        """One diagnosis per host the observed trials quarantined."""
+        """One diagnosis per host the *groups* ladders quarantined."""
         sentenced = {}
-        for key in sorted(groups):
-            for result in sorted(groups[key],
-                                 key=lambda r: (r.workload, r.seed)):
+        for ladder in groups.values():
+            for result in ladder:
                 for failure in result.failures:
                     if failure.resolution != QUARANTINED:
                         continue

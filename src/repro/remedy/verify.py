@@ -26,7 +26,9 @@ diagnosed rung.
 
 from __future__ import annotations
 
-from repro.core.bottleneck import slo_violated
+from itertools import takewhile
+
+from repro.core.bottleneck import ladders, slo_violated
 
 
 def progression_supported(results, slo, target=None):
@@ -40,22 +42,11 @@ def progression_supported(results, slo, target=None):
     write_ratio)`` ladders in *results*, or 0 when even the first rung
     fails.
     """
-    groups = {}
-    for result in results:
-        if target is not None and result.workload > target:
-            continue
-        key = (result.topology_label, result.write_ratio)
-        groups.setdefault(key, []).append(result)
-    best = 0
-    for key in sorted(groups):
-        ladder = sorted(groups[key], key=lambda r: (r.workload, r.seed))
-        supported = 0
-        for result in ladder:
-            if slo_violated(result, slo):
-                break
-            supported = max(supported, result.workload)
-        best = max(best, supported)
-    return best
+    return max((result.workload
+                for ladder in ladders(results, target).values()
+                for result in takewhile(
+                    lambda r: not slo_violated(r, slo), ladder)),
+               default=0)
 
 
 def improves(candidate_result, baseline_result, slo):

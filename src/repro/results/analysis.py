@@ -142,26 +142,16 @@ def saturation_workload(results, topology, slo_response_s,
     """Smallest workload whose mean RT violates the SLO, or None.
 
     This is the capacity-planning read of a scale-out line: "the 1-2-1
-    configuration saturates at about 500 users" (V.B).
+    configuration saturates at about 500 users" (V.B).  It is a
+    response-time reading: it takes the bare RT bound, ignores the
+    error budget and DNF status, and so is not an SLO verdict (that is
+    :func:`repro.core.bottleneck.slo_violated`).
     """
     series = response_time_series(results, topology, write_ratio)
     for workload, rt_ms in series:
         if rt_ms > slo_response_s * 1000.0:
             return workload
     return None
-
-
-def users_supported(results, topology, slo_response_s, slo_error_ratio,
-                    write_ratio=None):
-    """Largest measured workload meeting both SLOs, or None."""
-    rows = _only(results, topology=topology)
-    if write_ratio is not None:
-        rows = _only(rows, write_ratio=write_ratio)
-    good = [r.workload for r in rows
-            if r.status != DNF
-            and r.metrics.mean_response_s <= slo_response_s
-            and r.metrics.error_ratio <= slo_error_ratio]
-    return max(good) if good else None
 
 
 def aggregate_repetitions(results):

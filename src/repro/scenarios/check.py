@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.bottleneck import slo_violated
+from repro.core.bottleneck import last_pass, slo_violated
 from repro.spec.tbl.ast import ServiceLevelObjective
 
 
@@ -30,11 +30,7 @@ def measured_knee(results, slo):
     same read on stored rows, usable on any database the scenario's
     trials landed in.
     """
-    knee = 0
-    for result in results:
-        if result.workload > knee and not slo_violated(result, slo):
-            knee = result.workload
-    return knee
+    return last_pass(results, slo) or 0
 
 
 def check_expectations(scenario, results):

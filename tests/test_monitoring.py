@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import MonitoringError
 from repro.monitoring import (
-    TrialMetrics,
     attach_monitors,
     collect_sysstat_files,
     parse_request_log,
@@ -76,17 +75,6 @@ class TestSummarizeRecords:
     def test_empty_window_rejected(self):
         with pytest.raises(MonitoringError):
             summarize_records([], (5.0, 5.0))
-
-    def test_slo_check(self):
-        from repro.spec.tbl import ServiceLevelObjective
-        metrics = TrialMetrics(
-            completed=90, errors=10, timeouts=10, rejections=0,
-            duration_s=10, throughput=9.0, mean_response_s=0.5,
-            p50_response_s=0.4, p90_response_s=0.9, p99_response_s=1.5,
-        )
-        assert metrics.satisfies(ServiceLevelObjective(2.0, 0.2))
-        assert not metrics.satisfies(ServiceLevelObjective(2.0, 0.05))
-        assert not metrics.satisfies(ServiceLevelObjective(0.1, 0.2))
 
 
 class TestRequestLog:

@@ -208,11 +208,6 @@ class TestAnalysis:
         assert analysis.saturation_workload(results, "1-1-1", 2.0) == 500
         assert analysis.saturation_workload(results, "1-2-1", 2.0) is None
 
-    def test_users_supported(self):
-        results = self._scaleout_results()
-        assert analysis.users_supported(results, "1-2-1", 2.0, 0.1) == 500
-        assert analysis.users_supported(results, "1-1-1", 2.0, 0.1) == 300
-
     def test_db_cpu_series(self):
         results = [make_result(workload=100, db_cpu=30.0),
                    make_result(workload=200, db_cpu=60.0)]
