@@ -72,7 +72,6 @@ TABLES = ("trials", "host_cpu", "state_metrics", "planner_decisions")
 def _grid_leg(jobs):
     start = time.perf_counter()
     report = run_campaign(GRID_TBL, jobs=jobs,
-                          backend="thread" if jobs > 1 else None,
                           fidelity="analytic")
     wall = time.perf_counter() - start
     dump = {table: report.database.dump_rows(table) for table in TABLES}

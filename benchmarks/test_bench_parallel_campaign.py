@@ -1,12 +1,12 @@
 """Wall-clock benchmark: sequential vs parallel Figure 5 campaign.
 
 Runs the Figure 5 scale-out sweep (2-8 app x 1-3 DB servers) twice —
-``jobs=1`` and ``jobs=4`` on the process backend — records both
+``jobs=1`` and ``jobs=4`` on the fork pool — records both
 wall-clocks to ``benchmarks/output/parallel_campaign.txt``, and proves
 the parallel run reproduces the sequential observations exactly.
 
 The speedup assertion is gated on the CPUs actually available: the
-scheduler's process workers can only beat one worker when the host has
+scheduler's forked workers can only beat one worker when the host has
 cores to run them on.
 """
 

@@ -102,7 +102,7 @@ def test_bench_planner_adaptive():
 
     # -- worker-count invariance --------------------------------------
     parallel = ObservationCampaign(TBL, node_count=NODES)
-    parallel.run_adaptive(policy="knee", jobs=4, backend="thread")
+    parallel.run_adaptive(policy="knee", jobs=4)
     assert _dump(parallel.database) == _dump(adaptive.database)
 
     # -- kill mid-exploration, then resume ----------------------------

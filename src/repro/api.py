@@ -41,8 +41,8 @@ from repro.sim import ANALYTIC, AUTO, DES, FIDELITIES, check_fidelity, solve
 
 
 def run_experiment(tbl_text, *, experiment=None, mof_text=None,
-                   node_count=36, jobs=1, backend=None, tracer=None,
-                   on_result=None, fidelity=DES):
+                   node_count=36, jobs=1, tracer=None, on_result=None,
+                   fidelity=DES):
     """Run one experiment of a TBL spec; returns its TrialResults.
 
     *experiment* names the experiment to run (default: the spec's only
@@ -66,12 +66,12 @@ def run_experiment(tbl_text, *, experiment=None, mof_text=None,
             on_result(result)
 
     campaign.run([experiment], on_result=collect, jobs=jobs,
-                 backend=backend, fidelity=fidelity)
+                 fidelity=fidelity)
     return results
 
 
 def run_campaign(tbl_text, *, mof_text=None, database=None, node_count=36,
-                 experiments=None, jobs=1, backend=None, tracer=None,
+                 experiments=None, jobs=1, tracer=None,
                  on_result=None, on_progress=None,
                  tbl_source="<campaign>", faults=None, retry=None,
                  resume=False, fidelity=DES):
@@ -99,12 +99,12 @@ def run_campaign(tbl_text, *, mof_text=None, database=None, node_count=36,
                                    tbl_source=tbl_source, tracer=tracer,
                                    faults=faults, retry=retry)
     return campaign.run(experiments, on_result=on_result, jobs=jobs,
-                        backend=backend, on_progress=on_progress,
-                        resume=resume, fidelity=fidelity)
+                        on_progress=on_progress, resume=resume,
+                        fidelity=fidelity)
 
 
-def resume_campaign(database, *, jobs=1, backend=None, tracer=None,
-                    on_result=None, on_progress=None):
+def resume_campaign(database, *, jobs=1, tracer=None, on_result=None,
+                    on_progress=None):
     """Finish an interrupted campaign from its database checkpoint.
 
     *database* (a :class:`ResultsDatabase` or a path) must have been
@@ -119,13 +119,12 @@ def resume_campaign(database, *, jobs=1, backend=None, tracer=None,
 
     database = open_results(database, create=False)
     campaign = ObservationCampaign.from_database(database, tracer=tracer)
-    return campaign.resume(jobs=jobs, backend=backend, on_result=on_result,
+    return campaign.resume(jobs=jobs, on_result=on_result,
                            on_progress=on_progress)
 
 
-def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
-                  target=None, experiment=None, tracer=None,
-                  on_progress=None):
+def heal_campaign(database, *, budget=None, rounds=None, target=None,
+                  experiment=None, tracer=None, on_progress=None):
     """Diagnose and auto-remediate a campaign database (``repro heal``).
 
     Runs the closed remediation loop of :mod:`repro.remedy` over a
@@ -145,14 +144,14 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
     from repro.remedy import heal_campaign as heal
 
     database = open_results(database, create=False)
-    return heal(database, jobs=jobs, budget=budget, rounds=rounds,
-                target=target, experiment=experiment, tracer=tracer,
+    return heal(database, budget=budget, rounds=rounds, target=target,
+                experiment=experiment, tracer=tracer,
                 on_progress=on_progress)
 
 
 def run_adaptive(tbl_text, *, policy="knee", budget=None, experiment=None,
                  mof_text=None, database=None, node_count=36, jobs=1,
-                 backend=None, tracer=None, on_result=None,
+                 tracer=None, on_result=None,
                  on_progress=None, tbl_source="<campaign>", faults=None,
                  retry=None, resume=False, fidelity=DES):
     """Explore one TBL experiment with a closed-loop planner policy.
@@ -180,7 +179,7 @@ def run_adaptive(tbl_text, *, policy="knee", budget=None, experiment=None,
                                    tbl_source=tbl_source, tracer=tracer,
                                    faults=faults, retry=retry)
     return campaign.run_adaptive(policy, experiment_name=experiment,
-                                 budget=budget, jobs=jobs, backend=backend,
+                                 budget=budget, jobs=jobs,
                                  on_result=on_result,
                                  on_progress=on_progress, resume=resume,
                                  fidelity=fidelity)
@@ -248,9 +247,8 @@ def list_scenarios():
 
 
 def run_scenario(name, *, database=None, node_count=36, jobs=1,
-                 backend=None, tracer=None, on_result=None,
-                 on_progress=None, resume=False, fidelity=DES,
-                 check=True):
+                 tracer=None, on_result=None, on_progress=None,
+                 resume=False, fidelity=DES, check=True):
     """Run one scenario of the matrix (``repro scenarios run <name>``).
 
     Compiles the named scenario row to TBL text (scenario identity,
@@ -273,8 +271,7 @@ def run_scenario(name, *, database=None, node_count=36, jobs=1,
     tbl_text = compile_scenario(scenario)
     database = _as_database(database, create=True)
     report = run_campaign(tbl_text, database=database,
-                          node_count=node_count, jobs=jobs,
-                          backend=backend, tracer=tracer,
+                          node_count=node_count, jobs=jobs, tracer=tracer,
                           on_result=on_result, on_progress=on_progress,
                           tbl_source=f"<scenario {name}>",
                           resume=resume, fidelity=fidelity)

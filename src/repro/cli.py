@@ -22,7 +22,7 @@ Commands::
               [--experiment NAME] [--dry-run] [--resume] [--trace]
               [--quiet]
     resume    DB [--jobs N] [--trace] [--quiet] [--url URL]
-    heal      DB [--jobs N] [--budget N] [--rounds N] [--target N]
+    heal      DB [--budget N] [--rounds N] [--target N]
               [--experiment NAME] [--trace] [--quiet] [--url URL]
     serve     [--host H] [--port N] [--jobs N] [--max-active N]
     submit    --tbl FILE [--mof FILE] --db FILE [--nodes N] [--jobs N]
@@ -157,7 +157,7 @@ def build_parser():
     resume.set_defaults(handler=cmd_resume)
 
     heal = commands.add_parser(
-        "heal", parents=[jobs, output],
+        "heal", parents=[output],
         help="auto-remediate a campaign from its own observations")
     heal.add_argument("db", help="results database to diagnose and heal")
     heal.add_argument("--budget", type=int, default=None, metavar="N",
@@ -625,22 +625,19 @@ def cmd_heal(args):
     from repro.api import heal_campaign, open_results
     from repro.obs import Tracer
 
-    _resolve_jobs(args)
     if args.url is not None:
         from repro.api import campaign_client
 
         client = campaign_client(args.url)
-        heal_id = client.heal(db_path=args.db, jobs=args.jobs,
-                              budget=args.budget, rounds=args.rounds,
-                              target=args.target,
+        heal_id = client.heal(db_path=args.db, budget=args.budget,
+                              rounds=args.rounds, target=args.target,
                               experiment=args.experiment)
         print(f"healing as {heal_id} on {args.url}")
         return _wait_and_report(client, heal_id, quiet=args.quiet)
     with open_results(args.db, create=False) as database:
         report = heal_campaign(
-            database, jobs=args.jobs, budget=args.budget,
-            rounds=args.rounds, target=args.target,
-            experiment=args.experiment,
+            database, budget=args.budget, rounds=args.rounds,
+            target=args.target, experiment=args.experiment,
             tracer=Tracer() if args.trace else None,
             on_progress=None if args.quiet else lambda line:
                 print(f"  {line}"))

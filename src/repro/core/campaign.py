@@ -19,8 +19,8 @@ identity, the ``campaign_meta`` checkpoint, and the cluster and runner
 its trials execute on.  Every trial batch goes to an *executor* —
 anything with ``run_tasks(tasks, on_result)`` returning results in task
 order.  By default that is the campaign's own runner at ``jobs=1`` or a
-:class:`~repro.experiments.scheduler.TrialScheduler` pool of its clones
-otherwise (:func:`~repro.experiments.scheduler.executor_for` decides);
+:class:`~repro.experiments.scheduler.TrialScheduler` fork pool of its
+clones otherwise (:func:`~repro.experiments.scheduler.executor_for` decides);
 the ``repro serve`` daemon injects a fleet lease instead, to run many
 campaigns' trials on one shared worker fleet.
 """
@@ -267,8 +267,7 @@ class ObservationCampaign:
                                          sort_keys=True))
 
     def run(self, experiment_names=None, *, on_result=None, jobs=1,
-            backend=None, on_progress=None, resume=False, executor=None,
-            fidelity=DES):
+            on_progress=None, resume=False, executor=None, fidelity=DES):
         """Run the spec's experiments, storing every trial.
 
         *experiment_names* restricts to a subset; *on_result* is a
@@ -312,11 +311,11 @@ class ObservationCampaign:
                                                  fidelity=fidelity), None
 
         return self._run(plan, fidelity=fidelity, jobs=jobs,
-                         resume=resume, executor=executor, backend=backend,
+                         resume=resume, executor=executor,
                          on_result=on_result, on_progress=on_progress)
 
     def run_adaptive(self, policy="knee", *, experiment_name=None,
-                     budget=None, jobs=1, backend=None, on_result=None,
+                     budget=None, jobs=1, on_result=None,
                      on_progress=None, resume=False, executor=None,
                      fidelity=DES):
         """Run one experiment family as a closed exploration loop.
@@ -397,11 +396,11 @@ class ObservationCampaign:
             return fidelity, None, explore
 
         return self._run(plan, fidelity=fidelity, jobs=jobs,
-                         resume=resume, executor=executor, backend=backend,
+                         resume=resume, executor=executor,
                          on_result=on_result, on_progress=on_progress)
 
-    def _run(self, plan, *, fidelity, jobs, resume, executor, backend,
-             on_result, on_progress):
+    def _run(self, plan, *, fidelity, jobs, resume, executor, on_result,
+             on_progress):
         """The steps every campaign run takes, stated once.
 
         *plan(report, fidelity)* is the run's own part: it selects the
@@ -459,8 +458,7 @@ class ObservationCampaign:
             # runner itself or a pool of its clones, capped at *work*.
             if executor is not None:
                 return nullcontext(executor)
-            return executor_for(self.runner, jobs=jobs, backend=backend,
-                                work=work)
+            return executor_for(self.runner, jobs=jobs, work=work)
 
         def run_grid(missing):
             # The pool is sized to the trials left to run, and progress

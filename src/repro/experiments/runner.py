@@ -555,7 +555,7 @@ class ExperimentRunner:
         return built
 
     def run_experiment(self, experiment, *, on_result=None, jobs=1,
-                       backend=None, fidelity=DES):
+                       fidelity=DES):
         """Run every sweep point of *experiment*, with repetitions.
 
         Each repetition replays the point under seed, seed+1, ... so
@@ -564,16 +564,15 @@ class ExperimentRunner:
 
         The sweep is first enumerated into tasks, then executed: with
         ``jobs=1`` (the default) sequentially on this runner, otherwise
-        on a :class:`TrialScheduler` pool whose workers each clone this
-        runner.  Results arrive in enumeration order either way, and
+        on a :class:`TrialScheduler` fork pool whose workers each clone
+        this runner.  Results arrive in enumeration order either way, and
         trial metrics are identical across ``jobs`` settings because
         every trial's random streams derive from ``(seed + repetition)``
         alone — tracing on or off.  *fidelity* selects the solver tier
         for every task of the sweep (``"des"`` or ``"analytic"``).
         """
         tasks = enumerate_tasks(experiment, fidelity=fidelity)
-        with executor_for(self, jobs=jobs, backend=backend,
-                          work=len(tasks)) as executor:
+        with executor_for(self, jobs=jobs, work=len(tasks)) as executor:
             return executor.run_tasks(tasks, on_result=on_result)
 
     def run_tasks(self, tasks, on_result=None):

@@ -25,10 +25,10 @@ event raises (directly, or downstream — a crashed host failing its
 them itself; mutation faults surface through the layer's own error
 class instead, exactly like organic damage would.
 
-Arming is thread-local, so scheduler workers sharing one injector (the
-thread backend's inline path never does, but belt and braces) cannot
+Arming is thread-local, so threads sharing one injector (the daemon
+fleet's workers each run their own runner, but belt and braces) cannot
 cross-arm each other's trials.  The injector carries no picklable
-runtime state — process-backend workers rebuild it from the plan.
+runtime state — a pickled copy rebuilds it from the plan.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FaultInjector:
         self._repairs = {}        # trial_key -> [undo callables]
         self.fired_events = []    # every event that actually fired
 
-    # -- pickling (process-backend workers rebuild runtime state) --------
+    # -- pickling (a copy rebuilds its runtime state from the plan) ------
 
     def __getstate__(self):
         return {"plan": self.plan}

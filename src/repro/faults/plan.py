@@ -13,8 +13,8 @@ points inside the cluster, deployment, shell and collection layers.
 Determinism is the whole point: whether a fault fires for a given trial
 attempt is a pure function of ``(plan seed, spec, trial key, attempt)``
 computed from a SHA-256 draw, so the same plan produces a byte-identical
-fault schedule on every run, every worker count, and every scheduler
-backend — the property the resilience tests lean on when they assert
+fault schedule on every run, every worker count, and every executor —
+the property the resilience tests lean on when they assert
 that a retried chaos campaign stores exactly the rows a fault-free run
 stores.
 """

@@ -20,9 +20,9 @@ manager::
 
 Nesting is tracked per thread, so scheduler workers sharing one tracer
 never interleave their span stacks; spans are exported per trial and
-travel on the :class:`TrialResult`, so they survive the process-pool
-backend (a forked worker's tracer state never has to cross back — the
-pickled result carries the spans).
+travel on the :class:`TrialResult`, so they survive the fork pool (a
+forked worker's tracer state never has to cross back — the pickled
+result carries the spans).
 
 The default tracer everywhere is :data:`NULL_TRACER`, a no-op whose
 spans cost two attribute lookups, so instrumented code never branches

@@ -11,8 +11,8 @@ decision is a pure function of recorded observations, the
 ``remediations`` log is cleared and rewritten wholesale on every run,
 shadow trials already stored in the database are fed back instead of
 re-run, and the budget counts *scheduled* DES trials (reused or not) —
-so a killed ``repro heal`` resumed at any cut point, at any worker
-count, converges on byte-identical ``remediations`` and trial tables.
+so a killed ``repro heal`` resumed at any cut point converges on
+byte-identical ``remediations`` and trial tables.
 
 Two fidelity rules keep the verification honest and cheap:
 
@@ -23,8 +23,11 @@ Two fidelity rules keep the verification honest and cheap:
   supported-load ladder) that feeds the scorer, and only the ranked
   winner pays for DES confirmation.
 
+Shadow trials run inline, one fresh runner per batch: a batch is a few
+trials, and a pool started for it made the heal no faster.
 Shadow runners disable quarantine (per-runner, order-dependent state)
-so jobs=1 and jobs=N shadow trials are byte-identical.
+so a resumed batch's trials are byte-identical to an uninterrupted
+one's.
 """
 
 from __future__ import annotations
@@ -38,12 +41,7 @@ from repro.core.capacity import CapacityPlanner
 from repro.core.characterization import PerformanceMap
 from repro.errors import AllocationError, RemedyError, ResultsError
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scheduler import (
-    THREAD,
-    TrialTask,
-    executor_for,
-    run_unstored,
-)
+from repro.experiments.scheduler import TrialTask, run_unstored
 from repro.obs.tracer import as_tracer
 from repro.remedy.diagnosis import Detector
 from repro.remedy.propose import PROMOTE_TIER, Proposer, apply_patch
@@ -145,9 +143,9 @@ def _capacity_reason(results, experiment, target):
     return plan.describe()
 
 
-def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
-                  target=None, experiment=None, tracer=None,
-                  on_progress=None, on_trial=None):
+def heal_campaign(database, *, budget=None, rounds=None, target=None,
+                  experiment=None, tracer=None, on_progress=None,
+                  on_trial=None):
     """Run the remediation loop over *database*; returns a
     :class:`HealReport`.
 
@@ -234,14 +232,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                                        node_count=campaign.node_count),
                 resource_model=campaign.resource_model, tracer=tracer,
                 faults=plan, retry=retry)
-            # Thread backend explicitly: each batch opens its own pool
-            # for a few shadow trials, and forking workers for it made
-            # the CI heal-smoke heal at jobs=2 slower, not faster (median
-            # 278 vs 254 ms over 20 runs on a 2-vCPU host).  A lone
-            # task (every DES confirmation) runs on the runner itself.
-            with executor_for(runner, jobs=jobs, backend=THREAD,
-                              work=len(missing)) as executor:
-                return executor.run_tasks(missing, store)
+            return runner.run_tasks(missing, store)
 
         results, reused = run_unstored(tasks, done, run)
         report.reused += reused

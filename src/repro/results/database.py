@@ -422,8 +422,12 @@ class ResultsDatabase:
                 result.scenario,
             ))
         except sqlite3.IntegrityError as error:
+            # Only the UNIQUE key makes a duplicate; any other refused
+            # constraint (a NaN metric fails NOT NULL) is named as is.
+            what = "duplicate trial" if "UNIQUE" in str(error) \
+                else "trial refused"
             raise ResultsError(
-                f"duplicate trial {result.experiment_name}/"
+                f"{what} {result.experiment_name}/"
                 f"{result.topology_label}/u{result.workload}: {error}"
             ) from error
         trial_id = cursor.lastrowid

@@ -142,8 +142,8 @@ class CampaignClient:
                 if remaining <= 0:
                     return None
 
-    def heal(self, campaign_id=None, *, db_path=None, jobs=1,
-             budget=None, rounds=None, target=None, experiment=None):
+    def heal(self, campaign_id=None, *, db_path=None, budget=None,
+             rounds=None, target=None, experiment=None):
         """Auto-remediate a campaign database; returns the heal id.
 
         Mirrors :meth:`CampaignController.heal`: pass a *campaign_id*
@@ -151,7 +151,7 @@ class CampaignClient:
         *db_path* on disk.  :meth:`wait` on the returned id for the
         heal report summary.
         """
-        body = {"jobs": jobs}
+        body = {}
         if campaign_id is not None:
             body["id"] = campaign_id
         if db_path is not None:

@@ -79,7 +79,7 @@ class CampaignRecord:
             "kind": sub["kind"],
             "state": self.state,
             "db_path": sub["db_path"],
-            "jobs": sub["jobs"],
+            "jobs": sub.get("jobs"),
             "policy": sub.get("policy"),
             "resume": sub.get("resume", False),
             "fidelity": sub.get("fidelity"),
@@ -203,9 +203,8 @@ class CampaignController:
         return self.submit(db_path=db_path, resume=True,
                            jobs=jobs if jobs is not None else 1)
 
-    def heal(self, campaign_id=None, *, db_path=None, jobs=1,
-             budget=None, rounds=None, target=None, experiment=None,
-             tracer=None):
+    def heal(self, campaign_id=None, *, db_path=None, budget=None,
+             rounds=None, target=None, experiment=None, tracer=None):
         """Diagnose and auto-remediate a campaign database in place.
 
         Two forms mirror :meth:`resume`: *campaign_id* heals a campaign
@@ -225,8 +224,8 @@ class CampaignController:
             raise ServiceError("heal needs a campaign_id or a db_path")
         submission = {
             "kind": "heal", "after": after,
-            "db_path": os.fspath(db_path), "jobs": jobs,
-            "budget": budget, "rounds": rounds, "target": target,
+            "db_path": os.fspath(db_path), "budget": budget,
+            "rounds": rounds, "target": target,
             "experiment": experiment, "tracer": tracer,
         }
         return self._admit(submission)
@@ -399,8 +398,8 @@ class CampaignController:
         """One heal's controller thread.
 
         Heals are not fleet tenants: the remediation loop runs directly
-        against the final database with its own bounded worker pool,
-        exactly like a CLI ``repro heal`` — so the fleet's fair-share
+        against the final database on the controller thread, exactly
+        like a CLI ``repro heal`` — so the fleet's fair-share
         plane never sees shadow trials, and the heal's byte-identity
         contract is the pipeline's own.
         """
@@ -421,9 +420,9 @@ class CampaignController:
                     f"no campaign database at {sub['db_path']}")
             database = ResultsDatabase(sub["db_path"])
             report = heal_campaign(
-                database, jobs=sub["jobs"], budget=sub["budget"],
-                rounds=sub["rounds"], target=sub["target"],
-                experiment=sub["experiment"], tracer=sub.get("tracer"))
+                database, budget=sub["budget"], rounds=sub["rounds"],
+                target=sub["target"], experiment=sub["experiment"],
+                tracer=sub.get("tracer"))
             problems = database.integrity_check()
             if problems:
                 raise ResultsError(

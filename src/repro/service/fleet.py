@@ -1,8 +1,12 @@
 """The shared worker fleet: one pool, many campaigns, fair shares.
 
-A :class:`WorkerFleet` owns one persistent
-:class:`~repro.experiments.scheduler.TrialScheduler` of thread workers
-and multiplexes every attached campaign's trial tasks over it.
+A :class:`WorkerFleet` owns two persistent thread pools, a main lane
+and an analytic fast lane, and multiplexes every attached campaign's
+trial tasks over them.  It is the one plane that submits single tasks
+rather than whole batches, so it runs them on threads, each on a
+runner checked out from its campaign (the batch planes fork instead,
+see :class:`~repro.experiments.scheduler.TrialScheduler`).
+
 Admission runs inline, under the fleet lock, whenever a batch is
 enqueued and whenever a task completes — there is no dispatcher
 thread.  Each admission sweep enforces the service plane's scheduling
@@ -31,9 +35,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
+from repro import hotpath
 from repro.errors import CampaignCancelled, ServiceError
-from repro.experiments.scheduler import THREAD, TrialScheduler
 from repro.obs.tracer import as_tracer
 from repro.sim import ANALYTIC, DES
 
@@ -52,6 +57,7 @@ class _TenantQueue:
         self.buffered = {}           # seq -> result (completed early)
         self.cancelled = False
         self.batch = None            # the active _Batch, if any
+        self.idle = []               # runners no task has checked out
 
     def admissible(self):
         return (not self.cancelled and self.pending
@@ -109,11 +115,8 @@ class WorkerFleet:
         # workers absorbs any tenant's exploration round.
         self.fast_jobs = max(2, min(4, jobs))
         self.tracer = as_tracer(tracer)
-        self._pool = TrialScheduler(_no_default_runner, jobs=jobs,
-                                    backend=THREAD, tracer=tracer)
-        self._fast_pool = TrialScheduler(
-            _no_default_runner, jobs=self.fast_jobs, backend=THREAD,
-            tracer=tracer)
+        self._pool = ThreadPoolExecutor(max_workers=jobs)
+        self._fast_pool = ThreadPoolExecutor(max_workers=self.fast_jobs)
         self._cond = threading.Condition()
         self._queues = {}            # campaign_id -> _TenantQueue
         self._in_flight = 0          # main-lane admitted tasks
@@ -127,8 +130,8 @@ class WorkerFleet:
     def attach(self, campaign_id, runner_factory, *, ceiling=1):
         """Give *campaign_id* a seat on the fleet; returns its lease.
 
-        *runner_factory* builds the campaign's per-worker runner (each
-        worker thread keeps one per tenant); *ceiling* is the
+        *runner_factory* builds the campaign's runners, one per task
+        it has running at once (see :meth:`_run`); *ceiling* is the
         campaign's ``jobs`` cap — how many fleet workers it may hold at
         once, regardless of how idle the fleet is.
         """
@@ -143,12 +146,9 @@ class WorkerFleet:
         return FleetLease(self, campaign_id)
 
     def detach(self, campaign_id):
-        """Remove the campaign's seat and retire its worker runners."""
+        """Remove the campaign's seat; its runners go with it."""
         with self._cond:
-            queue = self._queues.pop(campaign_id, None)
-        if queue is not None:
-            self._pool.forget_tenant(campaign_id)
-            self._fast_pool.forget_tenant(campaign_id)
+            self._queues.pop(campaign_id, None)
 
     def cancel(self, campaign_id):
         """Drop the campaign's queued tasks; in-flight trials finish
@@ -207,9 +207,9 @@ class WorkerFleet:
     def _admit_locked(self):
         """Sweep until nothing more is admitted (caller holds ``_cond``).
 
-        A done-callback fires inside ``pool.submit`` when its task has
-        already finished, re-entering here on the same thread (the lock
-        is reentrant).  That inner call returns at once: it can only
+        A done-callback fires at once when its task has already
+        finished by the time it is attached, re-entering here on the
+        same thread (the lock is reentrant).  That inner call returns at once: it can only
         happen during a sweep that admitted a task, so the outer loop
         sweeps again anyway — admission never recurses.
         """
@@ -253,14 +253,33 @@ class WorkerFleet:
             self._dispatched += 1
             admitted += 1
             pool = self._fast_pool if fast else self._pool
-            pool.submit(
-                task, tenant=queue.campaign_id,
-                runner_factory=queue.runner_factory,
-                on_done=lambda future, q=queue, s=seq, f=fast:
+            future = pool.submit(self._run, queue, task)
+            future.add_done_callback(
+                lambda future, q=queue, s=seq, f=fast:
                     self._task_done(q, s, future, fast=f))
         if admitted:
             self.tracer.count("fleet.tasks_admitted", admitted)
         return admitted
+
+    def _run(self, queue, task):
+        """Execute one task on the calling pool thread.
+
+        The task checks out an idle runner of its campaign (building
+        one if none is idle) and returns it when done: each runner owns
+        a cluster, and a campaign holds as many runners as it ever had
+        tasks running at once.  Cache lookups inside are attributed to
+        the campaign.
+        """
+        with self._cond:
+            runner = queue.idle.pop() if queue.idle else None
+        if runner is None:
+            runner = queue.runner_factory()
+        try:
+            with hotpath.tenant(queue.campaign_id):
+                return runner.run_task(task)
+        finally:
+            with self._cond:
+                queue.idle.append(runner)
 
     def _task_done(self, queue, seq, future, fast=False):
         """Completion callback (worker thread): deliver in seq order.
@@ -330,11 +349,5 @@ class WorkerFleet:
                 queue.cancelled = True
                 queue.pending.clear()
             self._cond.notify_all()
-        self._pool.close()
-        self._fast_pool.close()
-
-
-def _no_default_runner():
-    raise ServiceError(
-        "the fleet has no default runner; every task carries its "
-        "campaign's runner factory")
+        self._pool.shutdown(wait=True)
+        self._fast_pool.shutdown(wait=True)

@@ -134,7 +134,6 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/heal":
                 heal_id = self.controller.heal(
                     body.get("id"), db_path=body.get("db_path"),
-                    jobs=body.get("jobs", 1),
                     budget=body.get("budget"),
                     rounds=body.get("rounds"),
                     target=body.get("target"),

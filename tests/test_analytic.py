@@ -637,9 +637,7 @@ class TestFidelityCampaigns:
     def test_analytic_grid_byte_stable_across_jobs(self):
         def run(jobs):
             campaign = ObservationCampaign(KNEE_TBL, node_count=8)
-            campaign.run(jobs=jobs,
-                         backend="thread" if jobs > 1 else None,
-                         fidelity=ANALYTIC)
+            campaign.run(jobs=jobs, fidelity=ANALYTIC)
             return campaign.database
         assert observation_dump(run(1)) == observation_dump(run(4))
 
@@ -735,8 +733,7 @@ class TestTieredExploration:
         def explore(jobs):
             campaign = ObservationCampaign(KNEE_TBL, node_count=8)
             campaign.run_adaptive(
-                policy="knee", fidelity=AUTO, jobs=jobs,
-                backend="thread" if jobs > 1 else None)
+                policy="knee", fidelity=AUTO, jobs=jobs)
             return campaign.database
         assert observation_dump(explore(1)) == observation_dump(explore(4))
 

@@ -201,7 +201,7 @@ class TestChaosDeterminism:
 
     def test_parallel_chaos_matches_fault_free_run(self, baseline):
         report = run_campaign(CAMPAIGN_TBL, faults=CHAOS_PLAN, retry=CHAOS_RETRY,
-                              jobs=3, backend="thread")
+                              jobs=3)
         db = report.database
         assert report.dnf == 0
         assert db.failure_count() > 0
@@ -521,5 +521,5 @@ class TestBlockingWaitRelease:
         # campaign at jobs>1 where failed attempts release allocations
         # must run to completion rather than deadlock.
         report = run_campaign(CAMPAIGN_TBL, faults=CHAOS_PLAN, retry=CHAOS_RETRY,
-                              jobs=2, backend="thread")
+                              jobs=2)
         assert report.trials == 4 and report.dnf == 0

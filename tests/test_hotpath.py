@@ -8,8 +8,6 @@ hazards: stale entries after a resource-model change, shared ASTs
 leaking execution state, cloned clusters sharing mutable host state.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro import (
@@ -20,7 +18,6 @@ from repro import (
     run_adaptive,
     run_campaign,
 )
-from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
 from repro.generator.mulini import Mulini
 from repro.planner.policy import KNEE
 from repro.shellvm import ShellInterpreter, parse
@@ -346,31 +343,6 @@ class TestClusterClone:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: process backend falls back when results cannot pickle
-
-
-class FallbackRunner:
-    """Returns results that cannot cross a process boundary."""
-
-    def run_task(self, task):
-        return {"index": task.index, "callback": lambda: None}
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process backend needs fork")
-class TestProcessFallback:
-    def test_unpicklable_results_fall_back_to_threads(self):
-        tasks = enumerate_tasks(parse_tbl(SWEEP_TBL).experiments[0])
-        scheduler = TrialScheduler(FallbackRunner, jobs=2,
-                                   backend="process")
-        with scheduler, pytest.warns(RuntimeWarning, match="falling back"):
-            results = scheduler.run_tasks(tasks)
-        assert [r["index"] for r in results] == [t.index for t in tasks]
-        assert all(callable(r["callback"]) for r in results)
-
-
-# ---------------------------------------------------------------------------
 # The headline invariant: a cached chaos campaign stores the same bytes
 
 
@@ -380,20 +352,24 @@ class TestCampaignIdentity:
         # which legitimately differs across jobs counts.  Everything
         # else — including the failures the fault plan injects — must
         # be byte-identical between a cache-free sequential run and a
-        # cached jobs=4 run.
+        # cached run, at jobs=4 and at jobs=1.
         with hotpath.caches_disabled():
             reference = run_campaign(CHAOS_TBL, faults=CHAOS_PLAN,
                                      retry=CHAOS_RETRY)
-        hotpath.clear()
-        report = run_campaign(CHAOS_TBL, faults=CHAOS_PLAN,
-                              retry=CHAOS_RETRY, jobs=4, backend="thread")
-        assert report.dnf == 0
-        assert report.database.failure_count() > 0
-        assert full_dump(report.database) == full_dump(reference.database)
-        assert report.database.integrity_check() == []
         assert reference.database.integrity_check() == []
-        # The run must actually have hit the caches, or the identity
-        # assertion proved nothing.
+        for jobs in (4, 1):
+            hotpath.clear()
+            report = run_campaign(CHAOS_TBL, faults=CHAOS_PLAN,
+                                  retry=CHAOS_RETRY, jobs=jobs)
+            assert report.dnf == 0
+            assert report.database.failure_count() > 0
+            assert full_dump(report.database) == \
+                full_dump(reference.database)
+            assert report.database.integrity_check() == []
+        # The cached run must actually have hit the caches, or the
+        # identity assertion proved nothing.  The jobs=4 workers are
+        # forked, so their hits stay in the workers; the jobs=1 leg's
+        # hits are this process's.
         stats = hotpath.stats()
         assert stats["generator.chassis"]["hits"] > 0
         assert stats["shellvm.parse"]["hits"] > 0

@@ -188,8 +188,7 @@ class TestAdaptiveKnee:
     def _explore(self, jobs=1, **kwargs):
         campaign = ObservationCampaign(KNEE_TBL, node_count=8)
         report = campaign.run_adaptive(
-            policy="knee", jobs=jobs,
-            backend="thread" if jobs > 1 else None, **kwargs)
+            policy="knee", jobs=jobs, **kwargs)
         return campaign, report
 
     def test_finds_knee_with_half_the_trials(self):

@@ -1,9 +1,9 @@
 """Remediation-plane tests: detect -> propose -> verify -> schedule.
 
 The acceptance bar mirrors the fault plane's: every heal decision is a
-pure function of recorded observations, so a ``repro heal`` at jobs=1
-and jobs=N — and a heal killed at any cut point and re-run — must
-leave byte-identical ``remediations`` and trial tables behind.  The
+pure function of recorded observations, so a ``repro heal`` run twice
+— or killed at any cut point and re-run — must leave byte-identical
+``remediations`` and trial tables behind.  The
 loop must also always explain itself: when nothing can be done, the
 report carries the proposer's rejections and the capacity planner's
 infeasibility verdict instead of a silent no-op.
@@ -86,7 +86,7 @@ def heal_dump(database):
 def faulted_heal():
     """The reference: a faulted campaign healed sequentially."""
     database = faulted_db()
-    report = heal_campaign(database, jobs=1)
+    report = heal_campaign(database)
     return database, report, heal_dump(database)
 
 
@@ -272,7 +272,7 @@ class TestHealEndToEnd:
     def test_healthy_campaign_is_a_no_op_heal(self):
         database = ResultsDatabase()
         run_campaign(FAULTED_TBL, database=database)
-        report = heal_campaign(database, jobs=1)
+        report = heal_campaign(database)
         assert report.outcome == HEALTHY
         assert report.applied == []
         assert report.trials == 0
@@ -283,8 +283,7 @@ class TestHealEndToEnd:
         database = ResultsDatabase()
         run_campaign(KNEE_TBL, database=database)
         lines = []
-        report = heal_campaign(database, jobs=2,
-                               on_progress=lines.append)
+        report = heal_campaign(database, on_progress=lines.append)
         assert report.outcome == HEALED
         (patch,) = report.applied
         assert patch.kind == PROMOTE_TIER
@@ -300,7 +299,7 @@ class TestHealEndToEnd:
     def test_unfit_cluster_surfaces_infeasibility(self):
         database = ResultsDatabase()
         run_campaign(KNEE_TBL, database=database, node_count=7)
-        report = heal_campaign(database, jobs=1)
+        report = heal_campaign(database)
         assert report.outcome == NO_CANDIDATE
         assert not report.healthy
         # Satellite (f): the typed-pool rejections AND the capacity
@@ -314,12 +313,12 @@ class TestHealEndToEnd:
 
     def test_budget_exhaustion_is_explicit_and_persisted(self):
         database = faulted_db()
-        report = heal_campaign(database, jobs=1, budget=1)
+        report = heal_campaign(database, budget=1)
         assert report.outcome == BUDGET_EXHAUSTED
         assert report.spent == 1
         assert any("budget 1" in reason for reason in report.reasons)
         # A re-run with no arguments replays under the stored budget.
-        again = heal_campaign(database, jobs=1)
+        again = heal_campaign(database)
         assert again.outcome == BUDGET_EXHAUSTED
         assert again.budget == 1
 
@@ -344,7 +343,7 @@ class TestHealErrors:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: worker count, kill + resume
+# Determinism: re-run, kill + resume
 
 
 class StopHeal(Exception):
@@ -352,16 +351,9 @@ class StopHeal(Exception):
 
 
 class TestHealDeterminism:
-    def test_parallel_heal_matches_sequential(self, faulted_heal):
-        _db, _report, reference = faulted_heal
-        database = faulted_db()
-        report = heal_campaign(database, jobs=4)
-        assert report.outcome == HEALED
-        assert heal_dump(database) == reference
-
     def test_repeated_heal_is_idempotent(self, faulted_heal):
         database, first, reference = faulted_heal
-        again = heal_campaign(database, jobs=1)
+        again = heal_campaign(database)
         assert again.outcome == first.outcome
         assert again.trials == 0
         assert again.reused == first.trials + first.reused
@@ -380,9 +372,9 @@ class TestHealDeterminism:
                 raise StopHeal
 
         with pytest.raises(StopHeal):
-            heal_campaign(database, jobs=1, on_trial=interrupt)
+            heal_campaign(database, on_trial=interrupt)
         assert len(executed) == cut_after
-        report = heal_campaign(database, jobs=1)
+        report = heal_campaign(database)
         assert report.outcome == HEALED
         assert report.reused >= cut_after
         assert report.trials == first.trials - cut_after
@@ -398,7 +390,7 @@ class TestHealCli:
         run_campaign(FAULTED_TBL, database=database, faults=CRASH_PLAN,
                      retry=CRASH_RETRY)
         database.close()
-        assert main(["heal", db, "--jobs", "2"]) == 0
+        assert main(["heal", db]) == 0
         out = capsys.readouterr().out
         assert "heal healed" in out
         assert "applied: replace host node-1" in out

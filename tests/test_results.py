@@ -50,8 +50,18 @@ class TestDatabase:
     def test_duplicate_rejected(self):
         with ResultsDatabase() as db:
             db.insert(make_result())
-            with pytest.raises(ResultsError):
+            with pytest.raises(ResultsError, match="duplicate trial"):
                 db.insert(make_result())
+
+    def test_only_the_unique_key_reads_as_a_duplicate(self):
+        # A NaN metric fails NOT NULL, not the trial key: the error
+        # names the constraint and does not call the row a duplicate.
+        with ResultsDatabase() as db:
+            with pytest.raises(ResultsError) as refused:
+                db.insert(make_result(mean_rt=float("nan")))
+            assert "NOT NULL" in str(refused.value)
+            assert "duplicate" not in str(refused.value)
+            assert db.count() == 0
 
     def test_replace_allowed(self):
         with ResultsDatabase() as db:

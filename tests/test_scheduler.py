@@ -11,12 +11,13 @@ import dataclasses
 import multiprocessing
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.core import ObservationCampaign
 from repro.errors import AllocationError, ExperimentError, ResultsError
-from repro.experiments import build_experiment
+from repro.experiments import build_experiment, scheduler
 from repro.experiments.figures import make_runner
 from repro.experiments.scheduler import (
     TrialScheduler,
@@ -129,25 +130,21 @@ class TestTrialScheduler:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExperimentError):
             TrialScheduler(lambda: None, jobs=0)
-        with pytest.raises(ExperimentError):
-            TrialScheduler(lambda: None, jobs=2, backend="carrier-pigeon")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_sequential(self, backend):
+    def test_parallel_matches_sequential(self):
         experiment = _experiment(topologies=(Topology(1, 1, 1),
                                              Topology(1, 2, 1)),
                                  workloads=(100, 250), repetitions=2)
         runner = make_runner("emulab", "rubis", node_count=10)
         sequential = runner.run_experiment(experiment)
-        parallel = runner.run_experiment(experiment, jobs=3,
-                                         backend=backend)
+        parallel = runner.run_experiment(experiment, jobs=3)
         assert _fingerprint(parallel) == _fingerprint(sequential)
 
     def test_on_result_delivered_in_task_order(self):
         experiment = _experiment(workloads=(250, 100, 180))
         runner = make_runner("emulab", "rubis", node_count=10)
         seen = []
-        runner.run_experiment(experiment, jobs=3, backend="thread",
+        runner.run_experiment(experiment, jobs=3,
                               on_result=lambda r: seen.append(r.workload))
         assert seen == [250, 100, 180]
 
@@ -157,7 +154,35 @@ class TestTrialScheduler:
         # a 1-8-1 topology: the scheduler must surface the failure.
         runner = make_runner("emulab", "rubis", node_count=6)
         with pytest.raises(AllocationError):
-            runner.run_experiment(experiment, jobs=2, backend="thread")
+            runner.run_experiment(experiment, jobs=2)
+
+    @pytest.mark.skipif(not scheduler.FORK, reason="the pool needs fork")
+    def test_a_trials_own_type_error_propagates_as_itself(self):
+        # A worker's TypeError is the trial's own bug, not a result
+        # that failed to pickle: it surfaces unchanged, with no
+        # warning, and no task is re-run in the calling process.
+        _RAN_IN_THIS_PROCESS.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with TrialScheduler(_BuggyRunner, jobs=2) as pool:
+                with pytest.raises(TypeError, match="task 2 is buggy"):
+                    pool.run_tasks([0, 1, 2, 3])
+        assert _RAN_IN_THIS_PROCESS == []
+
+
+#: The tasks a :class:`_BuggyRunner` ran in this process; a forked
+#: worker appends to its own copy.
+_RAN_IN_THIS_PROCESS = []
+
+
+class _BuggyRunner:
+    """A runner stand-in whose task 2 raises ``TypeError``."""
+
+    def run_task(self, task):
+        _RAN_IN_THIS_PROCESS.append(task)
+        if task == 2:
+            raise TypeError("task 2 is buggy")
+        return task
 
 
 @contextlib.contextmanager
@@ -174,10 +199,7 @@ def _fleet_lease(runner):
 #: Every implementation of the executor protocol, built over a runner.
 _EXECUTORS = {
     "runner": contextlib.nullcontext,
-    "thread-pool": lambda runner: TrialScheduler(
-        runner.clone, jobs=2, backend="thread"),
-    "process-pool": lambda runner: TrialScheduler(
-        runner.clone, jobs=2, backend="process"),
+    "process-pool": lambda runner: TrialScheduler(runner.clone, jobs=2),
     "fleet-lease": _fleet_lease,
 }
 
@@ -195,9 +217,8 @@ class TestExecutorProtocol:
 
     @pytest.mark.parametrize("name", sorted(_EXECUTORS))
     def test_every_executor_delivers_the_same_results(self, name):
-        if name == "process-pool" and \
-                "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("process backend needs fork")
+        if name == "process-pool" and not scheduler.FORK:
+            pytest.skip("the pool needs fork")
         # Descending-then-ascending load, so pooled completions arrive
         # out of task order and must be buffered back into it.
         tasks = enumerate_tasks(_experiment(workloads=(250, 100, 180)))
@@ -210,11 +231,11 @@ class TestExecutorProtocol:
         assert _fingerprint(results) == _fingerprint(expected)
         assert _fingerprint(seen) == _fingerprint(expected)
 
-    def test_executor_for_decides_jobs_once(self):
+    def test_executor_for_decides_jobs_once(self, monkeypatch):
         runner = make_runner("emulab", "rubis", node_count=10)
         with executor_for(runner, jobs=1) as executor:
             assert executor is runner
-        with executor_for(runner, jobs=2, backend="thread") as executor:
+        with executor_for(runner, jobs=2) as executor:
             assert isinstance(executor, TrialScheduler)
             assert executor.jobs == 2
         with pytest.raises(ExperimentError, match="closed"):
@@ -223,36 +244,37 @@ class TestExecutorProtocol:
         for work in (0, 1):
             with executor_for(runner, jobs=4, work=work) as executor:
                 assert executor is runner
-        with executor_for(runner, jobs=4, backend="thread",
-                          work=3) as executor:
+        with executor_for(runner, jobs=4, work=3) as executor:
             assert executor.jobs == 3
         with pytest.raises(ExperimentError, match="at least 1"):
             with executor_for(runner, jobs=0, work=5):
                 pass
+        # Without fork every batch runs inline.
+        monkeypatch.setattr(scheduler, "FORK", False)
+        with executor_for(runner, jobs=4) as executor:
+            assert executor is runner
 
     def test_pool_builds_each_worker_runner_once(self):
-        built = []
-        lock = threading.Lock()
+        # Shared memory, so the forked workers' counts reach this process.
+        built = multiprocessing.Value("i", 0)
 
         def factory():
-            with lock:
-                built.append(1)
+            with built.get_lock():
+                built.value += 1
             return _Echo()
 
-        with TrialScheduler(factory, jobs=2, backend="thread") as pool:
+        with TrialScheduler(factory, jobs=2) as pool:
             for batch in ([0, 1, 2], [3, 4], [5, 6, 7, 8]):
                 assert pool.run_tasks(batch) == batch
-        assert 1 <= len(built) <= 2
+        assert 1 <= built.value <= 2
 
     def test_closed_pool_refuses_work(self):
-        pool = TrialScheduler(_Echo, jobs=2, backend="thread")
+        pool = TrialScheduler(_Echo, jobs=2)
         assert pool.run_tasks([1]) == [1]
         pool.close()
         pool.close()                    # idempotent
         with pytest.raises(ExperimentError, match="closed"):
             pool.run_tasks([2])
-        with pytest.raises(ExperimentError, match="closed"):
-            pool.submit(3)
 
 
 class TestCampaignParallelEquivalence:
@@ -285,7 +307,7 @@ class TestCampaignParallelEquivalence:
         sequential = ObservationCampaign(self.TBL, node_count=10)
         report_seq = sequential.run()
         parallel = ObservationCampaign(self.TBL, node_count=10)
-        report_par = parallel.run(jobs=4, backend="thread")
+        report_par = parallel.run(jobs=4)
         assert report_par.trials == report_seq.trials == 6
         assert report_par.completed == report_seq.completed
         assert report_par.dnf == report_seq.dnf
@@ -297,7 +319,7 @@ class TestCampaignParallelEquivalence:
         campaign = ObservationCampaign(self.TBL, node_count=10)
         names = []
         lines = []
-        campaign.run(jobs=2, backend="thread",
+        campaign.run(jobs=2,
                      on_result=lambda r: names.append(r.experiment_name),
                      on_progress=lines.append)
         assert names == ["alpha"] * 4 + ["beta"] * 2

@@ -298,7 +298,7 @@ class TestWorkerFleet:
 
         fleet = WorkerFleet(jobs=2)
         if pool == "inline":
-            fleet._pool.close()
+            fleet._pool.shutdown()
             fleet._pool = _InlinePool()
         try:
             lease = fleet.attach("echo", EchoRunner, ceiling=2)
@@ -348,16 +348,12 @@ class _InlinePool:
     """A fleet lane whose tasks finish inside ``submit``, so every
     done-callback re-enters the fleet on the submitting thread."""
 
-    def submit(self, task, *, tenant, runner_factory, on_done):
+    def submit(self, fn, *args):
         future = Future()
-        future.set_result(runner_factory().run_task(task))
-        on_done(future)
+        future.set_result(fn(*args))
         return future
 
-    def forget_tenant(self, tenant):
-        pass
-
-    def close(self):
+    def shutdown(self, wait=True):
         pass
 
 
@@ -834,7 +830,7 @@ class TestHealService:
         url = daemon.start()
         client = CampaignClient(url)
         try:
-            heal_id = client.heal(db_path=db, jobs=2)
+            heal_id = client.heal(db_path=db)
             assert heal_id.startswith("h")
             record = client.wait(heal_id, timeout=120)
             assert record is not None and record["state"] == "done"
@@ -884,7 +880,7 @@ class TestHealService:
         daemon = ServiceDaemon(port=0, jobs=2)
         url = daemon.start()
         try:
-            assert main(["heal", db, "--url", url, "--jobs", "2"]) == 0
+            assert main(["heal", db, "--url", url]) == 0
             out = capsys.readouterr().out
             assert "healing as h" in out
             assert "heal healed" in out

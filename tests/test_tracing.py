@@ -155,10 +155,9 @@ class TestTracedTrial:
         runner = make_runner("emulab", "rubis", node_count=10,
                              tracer=tracer)
         experiment = small_experiment(workloads=(100, 200))
-        runner.run_experiment(experiment, jobs=2, backend="thread")
+        runner.run_experiment(experiment, jobs=2)
         assert tracer.counter("scheduler.tasks_queued") == 2
         assert tracer.counter("scheduler.tasks_done") == 2
-        assert tracer.counter("scheduler.tasks_running") == 0
 
 
 class TestSpansInDatabase:
@@ -324,9 +323,9 @@ _KEYWORD_ONLY_FORMS = {
             cluster=cluster, resource_model=model)),
     "TrialScheduler": (
         lambda cluster, model, system: TrialScheduler(
-            lambda: None, 2, "thread"),
+            lambda: None, 2),
         lambda cluster, model, system: TrialScheduler(
-            lambda: None, jobs=2, backend="thread")),
+            lambda: None, jobs=2)),
     "ObservationCampaign": (
         lambda cluster, model, system: ObservationCampaign(
             SMALL_TBL, None, None, 10),
@@ -357,7 +356,7 @@ class TestDeprecatedPositionalForms:
             warnings.simplefilter("error")
             cluster = VirtualCluster("emulab", node_count=10)
             DeploymentEngine(cluster=cluster)
-            TrialScheduler(lambda: None, jobs=2, backend="thread")
+            TrialScheduler(lambda: None, jobs=2)
             ObservationCampaign(SMALL_TBL, node_count=10)
 
     def test_too_many_positionals_is_a_type_error(self):
